@@ -122,19 +122,6 @@ def emit(ns, command: str, config: dict, result, provenance: str,
         print(line)
 
 
-def _threads(ns) -> int:
-    value = getattr(ns, "threads", None)
-    if value is None:
-        value = os.environ.get("RAMSEYKIT_THREADS", "1")
-    try:
-        value = int(value)
-    except ValueError as exc:
-        raise InputError(f"thread count must be an integer: {exc}") from exc
-    if value < 1:
-        raise InputError("thread count must be at least 1")
-    return value
-
-
 def _need_seed(ns) -> int:
     """Explicit seed, or a generated one (always echoed in the output)."""
     if ns.seed is not None:
@@ -195,8 +182,6 @@ def build_parser() -> Parser:
         p.add_argument("--json", action="store_true",
                        help="emit a JSON envelope instead of text")
         p.add_argument("--config", help="key=value config file (flags win)")
-        p.add_argument("--threads", type=int,
-                       help="worker cap (RAMSEYKIT_THREADS fallback)")
         return p
 
     p = add("params", help="derive the constant chain for one theorem")
@@ -735,7 +720,6 @@ def dispatch(argv: list[str]) -> int:
         parser.print_help()
         return EXIT_ERROR
     try:
-        _threads(ns)
         return HANDLERS[ns.command](ns)
     except FactViolationError as exc:
         print(f"fact violation: {exc}", file=sys.stderr)

@@ -80,11 +80,7 @@ def colouring_search(hg: UniformHypergraph, r: int,
     nv = len(order)
     if nv == 0:
         return SearchResult(PROPER, Colouring({}, r), 0)
-    pos_of = {v: i for i, v in enumerate(order)}
-    edges_of: list[list[int]] = [[] for _ in range(nv)]
-    for ei, e in enumerate(hg.edges):
-        for v in e:
-            edges_of[pos_of[v]].append(ei)
+    edges_of = [hg.incidence[v] for v in order]
 
     uncol = [len(e) for e in hg.edges]
     state = [0] * len(hg.edges)  # 0 none yet, -1 mixed, c>0 uniform colour c

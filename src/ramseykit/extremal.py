@@ -72,6 +72,7 @@ def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
         block_end[u] = idx + 1
 
     tracker = (budget or SearchBudget()).start()
+    node_limit = tracker.remaining
     adj: list[list[int]] = [[] for _ in range(n)]
     degree = [0] * n
     chosen: list[tuple[int, int]] = []
@@ -83,6 +84,9 @@ def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
     def search(idx: int):
         nonlocal best_edges, best_graph, nodes, ran_out
         if ran_out:
+            return
+        if node_limit is not None and nodes >= node_limit:
+            ran_out = True
             return
         nodes += 1
         if nodes % 4096 == 0 and tracker.exhausted():

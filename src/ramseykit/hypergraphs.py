@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -40,6 +41,15 @@ class UniformHypergraph:
 
     def contains_vertex(self, v: int) -> bool:
         return v in self._vertex_set
+
+    @cached_property
+    def incidence(self) -> dict[int, tuple[int, ...]]:
+        """Vertex -> ascending indices of the edges containing it, built once."""
+        index: dict[int, list[int]] = {v: [] for v in self.universe}
+        for ei, e in enumerate(self.edges):
+            for v in e:
+                index[v].append(ei)
+        return {v: tuple(eis) for v, eis in index.items()}
 
     def restrict(self, removed: Iterable[int]) -> "UniformHypergraph":
         """Sub-hypergraph on universe minus `removed`; edges meeting it drop."""
@@ -233,22 +243,24 @@ def enumerate_short_cycles(hg: UniformHypergraph, g: int) -> CycleReport:
     m = len(edge_sets)
     cycles: list[tuple[int, tuple[int, ...]]] = []
 
-    # pairwise intersection sizes double as the 2-cycle scan
-    inter: dict[tuple[int, int], frozenset] = {}
+    # intersecting pairs come from the incidence index; neighbours (pairs
+    # meeting in exactly one vertex) stay ascending, with their common point
+    point: dict[tuple[int, int], int] = {}
     neighbours: list[list[int]] = [[] for _ in range(m)]
-    for a, b in combinations(range(m), 2):
-        common = edge_sets[a] & edge_sets[b]
-        if common:
-            inter[(a, b)] = common
+    incidence = hg.incidence
+    for a, edge in enumerate(hg.edges):
+        later = {b for v in edge for b in incidence[v] if b > a}
+        for b in sorted(later):
+            common = edge_sets[a] & edge_sets[b]
             if len(common) == 1:
+                point[(a, b)] = next(iter(common))
                 neighbours[a].append(b)
                 neighbours[b].append(a)
             elif g > 2:
                 cycles.append((2, (a, b)))
 
     def common_point(a: int, b: int) -> int:
-        common = inter[(a, b) if a < b else (b, a)]
-        return next(iter(common))
+        return point[(a, b) if a < b else (b, a)]
 
     max_len = g - 1
 

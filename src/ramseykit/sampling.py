@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph, InputError, girth_at_least
 from .hypergraphs import (
+    CycleReport,
+    GirthVerdict,
     UniformHypergraph,
     enumerate_short_cycles,
     sparsity_girth,
@@ -33,6 +36,14 @@ def _check_probability(p) -> float:
     return pf
 
 
+def _bernoulli_pairs(n: int, pf: float, rng: random.Random) -> tuple:
+    """Pairs u < v of range(n) in lexicographic order, each kept when its
+    one uniform draw falls below pf."""
+    draw = rng.random
+    return tuple([(u, v) for u in range(n) for v in range(u + 1, n)
+                  if draw() < pf])
+
+
 def sample_gnp(n: int, p, seed: int) -> Graph:
     """Binomial random graph: each pair kept independently with probability p.
 
@@ -42,13 +53,7 @@ def sample_gnp(n: int, p, seed: int) -> Graph:
     if n < 0:
         raise InputError(f"vertex count must be non-negative, got {n}")
     pf = _check_probability(p)
-    rng = random.Random(seed)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < pf:
-                edges.append((u, v))
-    return Graph(n, tuple(edges))
+    return Graph(n, _bernoulli_pairs(n, pf, random.Random(seed)))
 
 
 def sample_subset(n: int, p, seed: int) -> set[int]:
@@ -87,12 +92,7 @@ def rejection_sample_girth(n: int, p, k: int, seed: int,
     pf = _check_probability(p)
     rng = random.Random(seed)
     for attempt in range(1, max_tries + 1):
-        edges = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < pf:
-                    edges.append((u, v))
-        g = Graph(n, tuple(edges))
+        g = Graph(n, _bernoulli_pairs(n, pf, rng))
         if girth_at_least(g, k):
             return RejectionResult(g, attempt, True)
     return RejectionResult(None, max_tries, False)
@@ -103,7 +103,8 @@ class DeletionResult:
     status: str  # DELETION_OK | DELETION_CAP_EXCEEDED
     removed: tuple[int, ...]
     survivor: UniformHypergraph | None
-    cycles_found: int
+    census: CycleReport  # the short cycles of the input hypergraph
+    verdict: GirthVerdict | None  # the survivor's; None when the cap blocks
 
 
 def delete_short_cycles(hg: UniformHypergraph, g: int,
@@ -111,38 +112,28 @@ def delete_short_cycles(hg: UniformHypergraph, g: int,
     """Remove one universe vertex per short cycle until girth >= g.
 
     Greedy choice: the vertex covering the most remaining cycles, ties to
-    the smallest index.  On success the survivor's sparsity girth is
-    re-verified; reporting success with a bad survivor is treated as a
-    hard bug.  If more than `cap` deletions would be needed the partial
-    removal set is returned for diagnostics.
+    the smallest index.  Success is declared only on a satisfied sparsity
+    verdict for the survivor, which the result carries along with the
+    census it started from.  If more than `cap` deletions would be needed
+    the partial removal set is returned for diagnostics.
     """
-    report = enumerate_short_cycles(hg, g)
-    spans = []
-    for _, edge_idxs in report.cycles:
-        span = set()
-        for ei in edge_idxs:
-            span.update(hg.edges[ei])
-        spans.append(span)
+    census = enumerate_short_cycles(hg, g)
+    spans = [set().union(*(hg.edges[ei] for ei in edge_idxs))
+             for _, edge_idxs in census.cycles]
 
     removed: list[int] = []
 
-    def greedy_cover(active_spans: list[set]) -> bool:
-        """Delete vertices until no span remains; False when cap blocks."""
-        while active_spans:
-            coverage: dict[int, int] = {}
-            for span in active_spans:
-                for v in span:
-                    coverage[v] = coverage.get(v, 0) + 1
-            best = max(coverage.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-            if len(removed) + 1 > cap:
-                return False
-            removed.append(best)
-            active_spans = [s for s in active_spans if best not in s]
-        return True
-
-    if not greedy_cover(spans):
+    def cap_exceeded() -> DeletionResult:
         return DeletionResult(DELETION_CAP_EXCEEDED, tuple(removed), None,
-                              report.total)
+                              census, None)
+
+    while spans:
+        coverage = Counter(v for span in spans for v in span)
+        best = max(coverage.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        if len(removed) + 1 > cap:
+            return cap_exceeded()
+        removed.append(best)
+        spans = [s for s in spans if best not in s]
 
     survivor = hg.restrict(removed)
     verdict = sparsity_girth(survivor, g)
@@ -153,15 +144,11 @@ def delete_short_cycles(hg: UniformHypergraph, g: int,
         warnings.warn(
             "cycle enumeration left a sparsity violation; deleting from "
             "the witness directly", RuntimeWarning, stacklevel=2)
-        span = set()
-        for ei in verdict.witness_edges:
-            span.update(survivor.edges[ei])
         if len(removed) + 1 > cap:
-            return DeletionResult(DELETION_CAP_EXCEEDED, tuple(removed),
-                                  None, report.total)
-        removed.append(min(span))
+            return cap_exceeded()
+        removed.append(min(v for ei in verdict.witness_edges
+                           for v in survivor.edges[ei]))
         survivor = hg.restrict(removed)
         verdict = sparsity_girth(survivor, g)
-    if not sparsity_girth(survivor, g).satisfied:  # re-verification contract
-        raise RuntimeError("deletion reported success with bad survivor girth")
-    return DeletionResult(DELETION_OK, tuple(removed), survivor, report.total)
+    return DeletionResult(DELETION_OK, tuple(removed), survivor, census,
+                          verdict)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from .colouring import ARROWS, BUDGET_EXCEEDED, NOT_ARROWS, ArrowsResult, arrows
 from .graphs import InputError, complete_graph
@@ -153,21 +152,23 @@ class FactCheckResult:
     last_threshold: float  # n / (4 W)
 
 
-def count_monochromatic_aps(colour_of: np.ndarray, n: int, k: int,
+def count_monochromatic_aps(masks: Sequence[int], n: int, k: int,
                             max_colour: int) -> int:
     """Monochromatic k-term APs of {1..n} in colours 1..max_colour.
 
-    `colour_of` is indexed 1..n (slot 0 ignored).  Vectorised over the
-    common difference, exact integer result.
+    `masks[c]` has bit v set for each element v of {1..n} of colour c
+    (masks[0] is not read).  For a common difference d, bit a of
+    m & m>>d & ... & m>>(k-1)d is set exactly when a, a+d, ..., a+(k-1)d
+    all carry the colour, so counting bits gives the exact total.
     """
     total = 0
-    for d in range(1, (n - 1) // (k - 1) + 1):
-        length = n - (k - 1) * d
-        first = colour_of[1:1 + length]
-        mono = first <= max_colour
-        for t in range(1, k):
-            mono &= colour_of[1 + t * d: 1 + t * d + length] == first
-        total += int(np.count_nonzero(mono))
+    for c in range(1, max_colour + 1):
+        m = masks[c]
+        for d in range(1, (n - 1) // (k - 1) + 1):
+            run = m
+            for t in range(1, k):
+                run &= m >> (t * d)
+            total += run.bit_count()
     return total
 
 
@@ -186,11 +187,11 @@ def fact_vdw_check(colours, k: int, r: int, w: int,
     n = len(mapping)
     if set(mapping) != set(range(1, n + 1)):
         raise InputError("colouring must cover an interval {1..n} totally")
-    arr = np.zeros(n + 1, dtype=np.int64)
+    masks = [0] * (r + 2)
     for v, c in mapping.items():
         if not 1 <= c <= r + 1:
             raise InputError(f"colour {c} outside 1..{r + 1}")
-        arr[v] = c
+        masks[c] |= 1 << v
     if verify_w:
         res = vdw_decide(w, k, r, budget)
         if res.status != ARROWS:
@@ -204,8 +205,8 @@ def fact_vdw_check(colours, k: int, r: int, w: int,
             f"in {{1..{n}}} but the argument needs at least n^2/(2W) = "
             f"{n * n / (2 * w):.0f}")
 
-    mono = count_monochromatic_aps(arr, n, k, r)
-    last_size = int(np.count_nonzero(arr == r + 1))
+    mono = count_monochromatic_aps(masks, n, k, r)
+    last_size = masks[r + 1].bit_count()
     ap_total = ap_count_formula(n, k)
     first = mono * w**3 > ap_total
     second = 4 * w * last_size > n

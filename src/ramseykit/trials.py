@@ -20,12 +20,7 @@ from typing import Iterator, TextIO
 from . import __version__
 from .colouring import colouring_search
 from .graphs import InputError, graph_girth
-from .hypergraphs import (
-    UniformHypergraph,
-    enumerate_short_cycles,
-    sparsity_girth,
-    system_of_copies,
-)
+from .hypergraphs import UniformHypergraph, system_of_copies
 from .sampling import (
     DELETION_OK,
     PRNG_NAME,
@@ -203,14 +198,13 @@ def _run_one_trial(config: TrialConfig, index: int) -> ExperimentRecord:
         hg = system_of_copies("clique", graph, config.k)
         sample_size = graph.num_edges
 
-    report = enumerate_short_cycles(hg, g)
-    counts = {str(j): c for j, c in sorted(report.counts.items())}
     deletion = delete_short_cycles(hg, g, config.resolved_cap())
+    counts = {str(j): c for j, c in sorted(deletion.census.counts.items())}
     girth_ok = None
     survivor_edges = None
     search_status = None
     if deletion.status == DELETION_OK:
-        girth_ok = sparsity_girth(deletion.survivor, g).satisfied
+        girth_ok = deletion.verdict.satisfied
         survivor_edges = deletion.survivor.num_edges
         if config.search_budget:
             search_status = colouring_search(

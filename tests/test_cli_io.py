@@ -195,6 +195,13 @@ class TestCli:
         assert code == EXIT_OK
         assert blob["result"]["max_edges"] == 5
 
+    def test_extremal_node_budget_exit(self, capsys):
+        code, blob = self.run_json(capsys, "extremal", "-n", "9", "-m", "4",
+                                   "--budget-nodes", "1000")
+        assert code == EXIT_BUDGET
+        assert blob["result"]["status"] == "lower-bound-only"
+        assert blob["result"]["nodes"] <= 1000
+
     def test_fact7_cli_search(self, capsys):
         code, blob = self.run_json(capsys, "fact7", "-n", "5", "-r", "1",
                                    "-k", "2", "--search")

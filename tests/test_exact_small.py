@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from ramseykit.colouring import ARROWS, BUDGET_EXCEEDED, NOT_ARROWS, Colouring, verify_colouring
@@ -117,9 +116,9 @@ class TestFactCheck:
         for _ in range(20):
             values = [rng.randint(1, 3) for _ in range(n)]
             col = self.colouring_of(values)
-            arr = np.zeros(n + 1, dtype=np.int64)
+            masks = [0] * 4
             for v, c in col.colours.items():
-                arr[v] = c
+                masks[c] |= 1 << v
             brute = 0
             for e in system_of_copies("ap", n, 3).edges:
                 cs = {values[v - 1] for v in e}
@@ -127,7 +126,7 @@ class TestFactCheck:
                     brute += 1
             from ramseykit.search import count_monochromatic_aps
 
-            assert count_monochromatic_aps(arr, n, 3, 2) == brute
+            assert count_monochromatic_aps(masks, n, 3, 2) == brute
 
     def test_interval_too_short_refused(self):
         col = Colouring({i: 1 for i in range(1, 31)}, 3)
@@ -181,6 +180,14 @@ class TestExtremal:
         assert res.status in (EXACT, LOWER_BOUND_ONLY)
         assert res.max_edges <= 16
         assert graph_girth(res.witness) > 3
+
+    def test_node_budget_stops_the_search(self):
+        # the unbudgeted search needs over 300,000 nodes here
+        res = extremal_ex(8, {3, 4}, SearchBudget(node_limit=1000))
+        assert res.status == LOWER_BOUND_ONLY
+        assert res.nodes <= 1000
+        assert graph_girth(res.witness) > 4
+        assert res.max_edges == len(res.witness.edges)
 
     def test_bad_forbidden_set(self):
         with pytest.raises(InputError):

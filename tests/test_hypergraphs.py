@@ -200,6 +200,25 @@ def random_hypergraph(rng: random.Random, max_vertices=12, max_edges=8,
     return hypergraph_from_edges(h, universe, edges)
 
 
+class TestIncidence:
+    def test_matches_edge_scan_and_is_cached(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            hg = random_hypergraph(rng)
+            index = hg.incidence
+            assert set(index) == set(hg.universe)
+            for v in hg.universe:
+                assert index[v] == tuple(
+                    ei for ei, e in enumerate(hg.edges) if v in e)
+            assert hg.incidence is index
+
+    def test_not_part_of_equality(self):
+        hg = system_of_copies("ap", 9, 3)
+        twin = system_of_copies("ap", 9, 3)
+        hg.incidence
+        assert hg == twin and hash(hg) == hash(twin)
+
+
 class TestShortCycles:
     def test_one_two_cycle(self):
         hg = hypergraph_from_edges(3, [1, 2, 3, 5], [(1, 2, 3), (1, 3, 5)])
@@ -253,6 +272,16 @@ class TestShortCycles:
                 if verdict.satisfied != empty:
                     disagreements.append((hg, g))
         assert not disagreements, f"girth notions diverged: {disagreements[:3]}"
+
+    def test_two_cycles_match_pairwise_scan(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            hg = random_hypergraph(rng)
+            expected = tuple(
+                (2, (a, b)) for a, b in combinations(range(hg.num_edges), 2)
+                if len(set(hg.edges[a]) & set(hg.edges[b])) >= 2)
+            report = enumerate_short_cycles(hg, 3)
+            assert report.cycles == expected
 
     def test_point_distinctness_redundant_for_long_cycles(self):
         # for cycles of length >= 4 the distinct-intersection-point demand

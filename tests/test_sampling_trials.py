@@ -1,12 +1,15 @@
 import io
 import math
 import statistics
+import warnings
 
 import pytest
 
+from ramseykit import hypergraphs, sampling, trials
 from ramseykit.graphs import InputError, graph_girth
 from ramseykit.hypergraphs import (
     ap_count_formula,
+    enumerate_short_cycles,
     hypergraph_from_edges,
     sparsity_girth,
     system_of_copies,
@@ -130,6 +133,21 @@ class TestDeletion:
         hg = hypergraph_from_edges(3, [1, 2, 3, 5], [(1, 2, 3), (1, 3, 5)])
         assert delete_short_cycles(hg, 3, 0).status == DELETION_CAP_EXCEEDED
 
+    def test_result_carries_census_and_verdict(self):
+        hg = hypergraph_from_edges(
+            3, range(1, 11),
+            [(1, 2, 3), (1, 2, 4), (5, 6, 7), (5, 6, 8)])
+        ok = delete_short_cycles(hg, 3, 2)
+        assert ok.status == DELETION_OK
+        assert ok.census == enumerate_short_cycles(hg, 3)
+        assert ok.census.total == 2
+        assert ok.verdict == sparsity_girth(ok.survivor, 3)
+        assert ok.verdict.satisfied
+        blocked = delete_short_cycles(hg, 3, 1)
+        assert blocked.status == DELETION_CAP_EXCEEDED
+        assert blocked.census == ok.census
+        assert blocked.verdict is None
+
     def test_survivor_verified(self):
         import random
 
@@ -216,6 +234,41 @@ class TestRunTrials:
             if r.deletion_status == DELETION_OK:
                 assert r.girth_ok is True
                 assert r.search_status is not None
+
+    def test_each_fact_computed_once_per_trial(self, monkeypatch):
+        calls = {"enumerate_short_cycles": 0, "sparsity_girth": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            original = getattr(hypergraphs, name)
+            for module in (hypergraphs, sampling, trials):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, original))
+        configs = [
+            TrialConfig(theorem="ap", n=1000, k=3, g=5, scale_c=2.0, seed=21,
+                        trials=5, search_budget=2000, r=2),
+            TrialConfig(theorem="cliques", n=20, k=3, g=4, p=0.4, seed=5,
+                        trials=4, search_budget=2000, r=2),
+        ]
+        ok_trials = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no trial takes the fallback
+            for cfg in configs:
+                for record in run_trials(cfg):
+                    if record.type != "trial":
+                        continue
+                    assert record.error is None
+                    ok = record.deletion_status == DELETION_OK
+                    ok_trials += ok
+                    assert calls == {"enumerate_short_cycles": 1,
+                                     "sparsity_girth": int(ok)}
+                    calls.update(dict.fromkeys(calls, 0))
+        assert ok_trials >= 2
 
     def test_config_validation(self):
         with pytest.raises(InputError):
