@@ -13,7 +13,7 @@ import json
 import os
 import secrets
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import __version__
 from .bounds import container_condition, cycle_system_analytic_degrees
@@ -578,6 +578,9 @@ def cmd_fact7(ns) -> int:
     if ex_low is None or ex_high is None:
         raise InputError("supply --ex-low/--ex-high or use --search")
     res = fact7_premise(ns.n, ns.r, ns.k, ex_low, ex_high)
+    if ns.search and high.status != EXACT:
+        # a lower bound on ex_high can make the premise look true
+        res = replace(res, holds=False, implied_upper=None)
     lines = [f"  ex_low={ex_low} ex_high={ex_high} holds={res.holds}"]
     if res.holds:
         lines.append(f"  implied: the even-cycle arrowing order for length "
@@ -587,7 +590,7 @@ def cmd_fact7(ns) -> int:
           "implied_upper": res.implied_upper},
          "pigeonhole premise comparing consecutive extremal numbers",
          lines)
-    return EXIT_OK
+    return EXIT_BUDGET if status == "searched-lower-bound" else EXIT_OK
 
 
 def cmd_fbounds(ns) -> int:

@@ -76,7 +76,7 @@ def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
     adj: list[list[int]] = [[] for _ in range(n)]
     degree = [0] * n
     chosen: list[tuple[int, int]] = []
-    best_edges = -1
+    best_edges = 0  # the empty graph has no cycle at all
     best_graph: list[tuple[int, int]] = []
     nodes = 0
     ran_out = False

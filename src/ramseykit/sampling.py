@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .graphs import Graph, InputError, girth_at_least
 from .hypergraphs import (
     CycleReport,
-    GirthVerdict,
     UniformHypergraph,
     enumerate_short_cycles,
     sparsity_girth,
@@ -104,7 +103,6 @@ class DeletionResult:
     removed: tuple[int, ...]
     survivor: UniformHypergraph | None
     census: CycleReport  # the short cycles of the input hypergraph
-    verdict: GirthVerdict | None  # the survivor's; None when the cap blocks
 
 
 def delete_short_cycles(hg: UniformHypergraph, g: int,
@@ -113,8 +111,8 @@ def delete_short_cycles(hg: UniformHypergraph, g: int,
 
     Greedy choice: the vertex covering the most remaining cycles, ties to
     the smallest index.  Success is declared only on a satisfied sparsity
-    verdict for the survivor, which the result carries along with the
-    census it started from.  If more than `cap` deletions would be needed
+    verdict for the survivor; the result carries the census it started
+    from.  If more than `cap` deletions would be needed
     the partial removal set is returned for diagnostics.
     """
     census = enumerate_short_cycles(hg, g)
@@ -125,7 +123,7 @@ def delete_short_cycles(hg: UniformHypergraph, g: int,
 
     def cap_exceeded() -> DeletionResult:
         return DeletionResult(DELETION_CAP_EXCEEDED, tuple(removed), None,
-                              census, None)
+                              census)
 
     while spans:
         coverage = Counter(v for span in spans for v in span)
@@ -150,5 +148,4 @@ def delete_short_cycles(hg: UniformHypergraph, g: int,
                            for v in survivor.edges[ei]))
         survivor = hg.restrict(removed)
         verdict = sparsity_girth(survivor, g)
-    return DeletionResult(DELETION_OK, tuple(removed), survivor, census,
-                          verdict)
+    return DeletionResult(DELETION_OK, tuple(removed), survivor, census)

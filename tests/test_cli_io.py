@@ -209,6 +209,16 @@ class TestCli:
         assert blob["result"]["holds"] is True
         assert blob["result"]["implied_upper"] == 5
 
+    def test_fact7_cli_search_out_of_budget(self, capsys):
+        # ex_high is then only a lower bound and cannot certify the premise
+        code, blob = self.run_json(capsys, "fact7", "-n", "9", "-k", "2",
+                                   "-r", "2", "--search", "--budget-nodes",
+                                   "5")
+        assert code == EXIT_BUDGET
+        assert blob["config"]["values"] == "searched-lower-bound"
+        assert blob["result"]["holds"] is False
+        assert blob["result"]["implied_upper"] is None
+
     def test_fbounds_cli(self, capsys):
         code, blob = self.run_json(capsys, "fbounds", "-k", "4", "-r", "2",
                                    "-R", "6")

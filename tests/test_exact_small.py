@@ -188,6 +188,10 @@ class TestExtremal:
         assert res.nodes <= 1000
         assert graph_girth(res.witness) > 4
         assert res.max_edges == len(res.witness.edges)
+        # out of budget before the first leaf: the empty graph stands
+        res = extremal_ex(8, {3, 4}, SearchBudget(node_limit=5))
+        assert res.status == LOWER_BOUND_ONLY
+        assert res.max_edges == len(res.witness.edges) == 0
 
     def test_bad_forbidden_set(self):
         with pytest.raises(InputError):

@@ -40,14 +40,12 @@ def test_records_match_golden(theorem):
     assert render(theorem) == expected
 
 
-@pytest.mark.parametrize("theorem", ["ap", "cliques"])
-def test_golden_covers_both_deletion_outcomes(theorem):
-    lines = (GOLDEN / f"trials_{theorem}.jsonl").read_text().splitlines()
-    statuses = {json.loads(line).get("deletion_status") for line in lines}
-    assert {"ok", "cap-exceeded"} <= statuses
-
-
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name in CONFIGS:
-        (GOLDEN / f"trials_{name}.jsonl").write_text(render(name))
+        text = render(name)
+        if name != "cycles":  # each deletion outcome must stay pinned
+            statuses = {json.loads(line).get("deletion_status")
+                        for line in text.splitlines()}
+            assert {"ok", "cap-exceeded"} <= statuses, (name, statuses)
+        (GOLDEN / f"trials_{name}.jsonl").write_text(text)

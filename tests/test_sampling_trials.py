@@ -22,6 +22,8 @@ from ramseykit.sampling import (
     sample_gnp,
     sample_subset,
 )
+from test_golden import CONFIGS as GOLDEN_CONFIGS
+
 from ramseykit.trials import (
     TrialConfig,
     _ap_system_of_subset,
@@ -133,7 +135,7 @@ class TestDeletion:
         hg = hypergraph_from_edges(3, [1, 2, 3, 5], [(1, 2, 3), (1, 3, 5)])
         assert delete_short_cycles(hg, 3, 0).status == DELETION_CAP_EXCEEDED
 
-    def test_result_carries_census_and_verdict(self):
+    def test_result_carries_census(self):
         hg = hypergraph_from_edges(
             3, range(1, 11),
             [(1, 2, 3), (1, 2, 4), (5, 6, 7), (5, 6, 8)])
@@ -141,12 +143,9 @@ class TestDeletion:
         assert ok.status == DELETION_OK
         assert ok.census == enumerate_short_cycles(hg, 3)
         assert ok.census.total == 2
-        assert ok.verdict == sparsity_girth(ok.survivor, 3)
-        assert ok.verdict.satisfied
         blocked = delete_short_cycles(hg, 3, 1)
         assert blocked.status == DELETION_CAP_EXCEEDED
         assert blocked.census == ok.census
-        assert blocked.verdict is None
 
     def test_survivor_verified(self):
         import random
@@ -249,12 +248,8 @@ class TestRunTrials:
             for module in (hypergraphs, sampling, trials):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, original))
-        configs = [
-            TrialConfig(theorem="ap", n=1000, k=3, g=5, scale_c=2.0, seed=21,
-                        trials=5, search_budget=2000, r=2),
-            TrialConfig(theorem="cliques", n=20, k=3, g=4, p=0.4, seed=5,
-                        trials=4, search_budget=2000, r=2),
-        ]
+        configs = [TrialConfig(**GOLDEN_CONFIGS[name])
+                   for name in ("ap", "cliques")]
         ok_trials = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no trial takes the fallback
