@@ -15,6 +15,7 @@ from .colouring import (
     PROPER,
     UNCOLOURABLE,
     ArrowsResult,
+    BudgetTracker,
     Colouring,
     SearchResult,
     arrows,

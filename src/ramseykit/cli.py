@@ -10,41 +10,37 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import secrets
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
+from pathlib import Path
 
 from . import __version__
 from .bounds import container_condition, cycle_system_analytic_degrees
 from .colouring import (
-    ARROWS,
     BUDGET_EXCEEDED,
-    NOT_ARROWS,
     PROPER,
-    UNCOLOURABLE,
+    BudgetTracker,
     Colouring,
     arrows,
     colouring_search,
-    verify_colouring,
 )
 from .extremal import extremal_ex, fact7_premise
 from .fbounds import f_bound_report
 from .graphs import Graph, InputError, graph_girth
 from .hypergraphs import (
-    ap_count_formula,
     enumerate_short_cycles,
     sparsity_girth,
     system_of_copies,
 )
 from .io import (
     FormatError,
+    format_graph,
     read_colours,
     read_config_file,
     read_graph,
     read_hypergraph,
     write_graph,
-    write_hypergraph,
 )
 from .lognum import LogNum
 from .params import derive_params
@@ -64,14 +60,6 @@ from .trials import TrialConfig, run_trials, write_records
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BUDGET = 2
-
-SUBCOMMANDS = ("params", "sample", "girth", "cycles", "colour", "arrows",
-               "ramsey", "vdw", "extremal", "fact-vdw", "fact7", "fbounds",
-               "trials", "verify")
-
-
-class CliError(SystemExit):
-    pass
 
 
 class Parser(argparse.ArgumentParser):
@@ -129,12 +117,8 @@ def _need_seed(ns) -> int:
     return secrets.randbits(32)
 
 
-def _budget(ns) -> SearchBudget | None:
-    nodes = getattr(ns, "budget_nodes", None)
-    secs = getattr(ns, "budget_secs", None)
-    if nodes is None and secs is None:
-        return None
-    return SearchBudget(node_limit=nodes, wall_secs=secs)
+def _budget(ns) -> SearchBudget:
+    return SearchBudget(node_limit=ns.budget_nodes, wall_secs=ns.budget_secs)
 
 
 def _load_system(ns):
@@ -177,11 +161,14 @@ def build_parser() -> Parser:
                         version=f"ramseykit {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, **kw):
+    def add(name, budget=False, **kw):
         p = sub.add_parser(name, **kw)
         p.add_argument("--json", action="store_true",
                        help="emit a JSON envelope instead of text")
         p.add_argument("--config", help="key=value config file (flags win)")
+        if budget:
+            p.add_argument("--budget-nodes", type=int, help="node limit")
+            p.add_argument("--budget-secs", type=float, help="time limit")
         return p
 
     p = add("params", help="derive the constant chain for one theorem")
@@ -213,40 +200,34 @@ def build_parser() -> Parser:
     _add_system_flags(p)
     p.add_argument("-g", type=int, required=True, help="girth threshold")
 
-    p = add("colour", help="proper colouring search on a copy system")
+    p = add("colour", budget=True,
+            help="proper colouring search on a copy system")
     _add_system_flags(p)
     p.add_argument("-r", type=int, required=True)
-    p.add_argument("--budget-nodes", type=int)
-    p.add_argument("--budget-secs", type=float)
 
-    p = add("arrows", help="arrowing verdict for a base and pattern")
+    p = add("arrows", budget=True,
+            help="arrowing verdict for a base and pattern")
     _add_system_flags(p)
     p.add_argument("-r", type=int, required=True)
-    p.add_argument("--budget-nodes", type=int)
-    p.add_argument("--budget-secs", type=float)
 
-    p = add("ramsey", help="Ramsey decision or number by exhaustive search")
+    p = add("ramsey", budget=True,
+            help="Ramsey decision or number by exhaustive search")
     p.add_argument("--kind", required=True, choices=("clique", "cycle"))
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-n", type=int, help="decide this size only")
-    p.add_argument("--budget-nodes", type=int)
-    p.add_argument("--budget-secs", type=float)
 
-    p = add("vdw", help="van der Waerden decision or number")
+    p = add("vdw", budget=True, help="van der Waerden decision or number")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-n", type=int, help="decide this interval length only")
-    p.add_argument("--budget-nodes", type=int)
-    p.add_argument("--budget-secs", type=float)
 
-    p = add("extremal", help="max edges avoiding all cycle lengths 3..m")
+    p = add("extremal", budget=True,
+            help="max edges avoiding all cycle lengths 3..m")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-m", type=int, required=True,
                    help="largest forbidden cycle length")
     p.add_argument("--witness-out", help="write the witness graph here")
-    p.add_argument("--budget-nodes", type=int)
-    p.add_argument("--budget-secs", type=float)
 
     p = add("fact-vdw", help="two-branch dichotomy check for colourings")
     p.add_argument("-n", type=int, required=True)
@@ -260,7 +241,8 @@ def build_parser() -> Parser:
     p.add_argument("--verify-w", action="store_true",
                    help="prove the supplied W by exhaustive search first")
 
-    p = add("fact7", help="pigeonhole premise for even-cycle arrowing")
+    p = add("fact7", budget=True,
+            help="pigeonhole premise for even-cycle arrowing")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-k", type=int, required=True,
@@ -271,17 +253,14 @@ def build_parser() -> Parser:
                    help="max edges avoiding cycles 3..2k")
     p.add_argument("--search", action="store_true",
                    help="compute both extremal values exhaustively")
-    p.add_argument("--budget-nodes", type=int)
-    p.add_argument("--budget-secs", type=float)
 
-    p = add("fbounds", help="lower/upper bounds for girth-k cycle arrowing")
+    p = add("fbounds", budget=True,
+            help="lower/upper bounds for girth-k cycle arrowing")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-R", type=int, help="known cycle Ramsey number")
     p.add_argument("--search-R", action="store_true",
                    help="search the cycle Ramsey number first")
-    p.add_argument("--budget-nodes", type=int)
-    p.add_argument("--budget-secs", type=float)
 
     p = add("trials", help="seeded experiment batch emitting JSONL records")
     p.add_argument("--theorem", required=True,
@@ -428,12 +407,7 @@ def cmd_cycles(ns) -> int:
 
 def cmd_colour(ns) -> int:
     hg, src = _load_system(ns)
-    budget = _budget(ns)
-    tracker = budget.start() if budget else None
-    res = colouring_search(
-        hg, ns.r,
-        budget=tracker.remaining if tracker else None,
-        deadline=tracker.deadline if tracker else None)
+    res = colouring_search(hg, ns.r, BudgetTracker(_budget(ns)))
     result = {"status": res.status, "nodes": res.nodes,
               "witness": res.colouring if res.status == PROPER else None}
     emit(ns, "colour", {**src, "r": ns.r},
@@ -445,7 +419,6 @@ def cmd_colour(ns) -> int:
 
 
 def cmd_arrows(ns) -> int:
-    budget = _budget(ns)
     if ns.hypergraph is not None:
         raise InputError("arrows needs a base object (--ap or --base), "
                          "not a prebuilt hypergraph; use `colour` for those")
@@ -460,10 +433,7 @@ def cmd_arrows(ns) -> int:
         base = read_graph(ns.base)
         src = {"base": ns.base, "kind": ns.kind, "k": ns.k}
         kind = ns.kind
-    tracker = budget.start() if budget else None
-    res = arrows(base, kind, ns.k, ns.r,
-                 budget=tracker.remaining if tracker else None,
-                 deadline=tracker.deadline if tracker else None)
+    res = arrows(base, kind, ns.k, ns.r, BudgetTracker(_budget(ns)))
     emit(ns, "arrows", {**src, "r": ns.r},
          {"status": res.status, "nodes": res.nodes, "witness": res.witness},
          "arrowing verdict via exhaustive colouring search on the system "
@@ -472,46 +442,45 @@ def cmd_arrows(ns) -> int:
     return EXIT_BUDGET if res.status == BUDGET_EXCEEDED else EXIT_OK
 
 
-def cmd_ramsey(ns) -> int:
+def _decide_or_sweep(ns, command: str, config: dict, decide, sweep,
+                     decide_provenance: str, sweep_provenance: str) -> int:
+    """Decide the size -n, or else sweep for the least size that arrows."""
     budget = _budget(ns)
     if ns.n is not None:
-        res = ramsey_decide(ns.kind, ns.k, ns.r, ns.n, budget)
-        emit(ns, "ramsey", {"kind": ns.kind, "k": ns.k, "r": ns.r, "n": ns.n},
+        res = decide(budget)
+        emit(ns, command, {**config, "n": ns.n},
              {"status": res.status, "witness": res.witness,
               "nodes": res.nodes},
-             "exhaustive arrowing decision on the complete graph",
+             decide_provenance,
              [f"  {res.status}"])
         return EXIT_BUDGET if res.status == BUDGET_EXCEEDED else EXIT_OK
-    res = ramsey_number(ns.kind, ns.k, ns.r, budget)
+    res = sweep(budget)
     lines = [f"  number = {res.value}" if res.status == EXACT
              else f"  >= {res.lower_bound} (budget exhausted)"]
-    emit(ns, "ramsey", {"kind": ns.kind, "k": ns.k, "r": ns.r},
+    emit(ns, command, config,
          {"status": res.status, "value": res.value,
           "lower_bound": res.lower_bound, "nodes": res.nodes},
-         "ascending sweep of exhaustive arrowing decisions",
+         sweep_provenance,
          lines)
     return EXIT_OK if res.status == EXACT else EXIT_BUDGET
+
+
+def cmd_ramsey(ns) -> int:
+    return _decide_or_sweep(
+        ns, "ramsey", {"kind": ns.kind, "k": ns.k, "r": ns.r},
+        lambda budget: ramsey_decide(ns.kind, ns.k, ns.r, ns.n, budget),
+        lambda budget: ramsey_number(ns.kind, ns.k, ns.r, budget),
+        "exhaustive arrowing decision on the complete graph",
+        "ascending sweep of exhaustive arrowing decisions")
 
 
 def cmd_vdw(ns) -> int:
-    budget = _budget(ns)
-    if ns.n is not None:
-        res = vdw_decide(ns.n, ns.k, ns.r, budget)
-        emit(ns, "vdw", {"k": ns.k, "r": ns.r, "n": ns.n},
-             {"status": res.status, "witness": res.witness,
-              "nodes": res.nodes},
-             "exhaustive progression-colouring decision for the interval",
-             [f"  {res.status}"])
-        return EXIT_BUDGET if res.status == BUDGET_EXCEEDED else EXIT_OK
-    res = vdw_number(ns.k, ns.r, budget)
-    lines = [f"  number = {res.value}" if res.status == EXACT
-             else f"  >= {res.lower_bound} (budget exhausted)"]
-    emit(ns, "vdw", {"k": ns.k, "r": ns.r},
-         {"status": res.status, "value": res.value,
-          "lower_bound": res.lower_bound, "nodes": res.nodes},
-         "ascending sweep of exhaustive interval decisions",
-         lines)
-    return EXIT_OK if res.status == EXACT else EXIT_BUDGET
+    return _decide_or_sweep(
+        ns, "vdw", {"k": ns.k, "r": ns.r},
+        lambda budget: vdw_decide(ns.n, ns.k, ns.r, budget),
+        lambda budget: vdw_number(ns.k, ns.r, budget),
+        "exhaustive progression-colouring decision for the interval",
+        "ascending sweep of exhaustive interval decisions")
 
 
 def cmd_extremal(ns) -> int:
@@ -594,7 +563,10 @@ def cmd_fact7(ns) -> int:
 
 
 def cmd_fbounds(ns) -> int:
-    budget = _budget(ns) or (SearchBudget() if ns.search_R else None)
+    budget = _budget(ns)
+    if not ns.search_R and budget != SearchBudget():
+        raise InputError("a search budget bounds only the search of "
+                         "--search-R; add it or drop the budget")
     report = f_bound_report(ns.k, ns.r, ramsey_value=ns.R,
                             search_budget=budget if ns.search_R else None)
     blob = report.to_json()
@@ -606,7 +578,9 @@ def cmd_fbounds(ns) -> int:
          "ball-growth and Ramsey lower bounds with the random-construction "
          "upper bound",
          lines)
-    return EXIT_OK
+    # the search settled nothing only when its budget ran out
+    searched_out = ns.search_R and report.ramsey_number is None
+    return EXIT_BUDGET if searched_out else EXIT_OK
 
 
 def cmd_trials(ns) -> int:
@@ -639,15 +613,8 @@ def cmd_verify(ns) -> int:
         raise InputError("choose exactly one of --records and --graph")
     if ns.graph is not None:
         g = read_graph(ns.graph)
-        import tempfile
-
-        with tempfile.NamedTemporaryFile("r+", suffix=".graph",
-                                         delete=False) as tmp:
-            write_graph(g, tmp.name)
-            rewritten = open(tmp.name, encoding="ascii").read()
-        os.unlink(tmp.name)
-        original = open(ns.graph, encoding="ascii").read()
-        canonical = rewritten == original
+        canonical = (format_graph(g)
+                     == Path(ns.graph).read_text(encoding="ascii"))
         value = graph_girth(g)
         emit(ns, "verify", {"graph": ns.graph},
              {"parses": True, "canonical": canonical,
@@ -655,8 +622,8 @@ def cmd_verify(ns) -> int:
              "graph file validation and canonical round-trip",
              [f"  parses, canonical={canonical}"])
         return EXIT_OK if canonical else EXIT_ERROR
-    lines = [ln for ln in open(ns.records, encoding="ascii")
-             if ln.strip()]
+    with open(ns.records, encoding="ascii") as fh:
+        lines = [ln for ln in fh if ln.strip()]
     if not lines:
         raise InputError(f"{ns.records} holds no records")
     first = json.loads(lines[0])
@@ -706,6 +673,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     injected: list[str] = []
     for key, value in pairs.items():
         flag = ("-" + key) if len(key) == 1 else ("--" + key.replace("_", "-"))
+        if value.lower() in ("false", "no", "off"):
+            continue  # an unset flag needs no default
         if value.lower() in ("true", "yes", "on", ""):
             injected.append(flag)
         else:
@@ -716,7 +685,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
-    if argv and argv[0] in SUBCOMMANDS:
+    if argv and argv[0] in HANDLERS:
         argv = _apply_config_file(argv)
     ns = parser.parse_args(argv)
     if ns.command is None:

@@ -58,6 +58,31 @@ def verify_colouring(hg: UniformHypergraph, col: Colouring) -> bool:
 
 
 @dataclass(frozen=True)
+class SearchBudget:
+    node_limit: int | None = None
+    wall_secs: float | None = None
+
+
+class BudgetTracker:
+    """A started budget, shared and charged by the searches of one sweep."""
+
+    def __init__(self, budget: SearchBudget | None):
+        budget = budget or SearchBudget()
+        self.remaining = budget.node_limit
+        self.deadline = (time.monotonic() + budget.wall_secs
+                         if budget.wall_secs is not None else None)
+
+    def exhausted(self) -> bool:
+        if self.remaining is not None and self.remaining <= 0:
+            return True
+        return self.deadline is not None and time.monotonic() > self.deadline
+
+    def charge(self, nodes: int):
+        if self.remaining is not None:
+            self.remaining -= nodes
+
+
+@dataclass(frozen=True)
 class SearchResult:
     status: str  # PROPER | UNCOLOURABLE | BUDGET_EXCEEDED
     colouring: Colouring | None
@@ -65,14 +90,15 @@ class SearchResult:
 
 
 def colouring_search(hg: UniformHypergraph, r: int,
-                     budget: int | None = None,
-                     deadline: float | None = None) -> SearchResult:
+                     budget: BudgetTracker | None = None) -> SearchResult:
     """Find a proper r-colouring or prove none exists.
 
     Deterministic: vertices are branched in universe order, colours tried
-    ascending.  `budget` caps the number of assignment attempts; `deadline`
-    is an absolute time.monotonic() cutoff.  Hitting either yields
-    BUDGET_EXCEEDED, never a wrong verdict.
+    ascending.  `budget` is a started budget, possibly shared with earlier
+    searches: the search stops when its remaining assignment attempts are
+    spent or, checked every 1024 attempts, its deadline has passed, and
+    either yields BUDGET_EXCEEDED, never a wrong verdict.  The attempts made
+    are charged to it.
     """
     if r < 1:
         raise InputError(f"need at least one colour, got {r}")
@@ -81,6 +107,8 @@ def colouring_search(hg: UniformHypergraph, r: int,
     if nv == 0:
         return SearchResult(PROPER, Colouring({}, r), 0)
     edges_of = [hg.incidence[v] for v in order]
+    budget = budget or BudgetTracker(None)
+    limit, deadline = budget.remaining, budget.deadline
 
     uncol = [len(e) for e in hg.edges]
     state = [0] * len(hg.edges)  # 0 none yet, -1 mixed, c>0 uniform colour c
@@ -115,6 +143,7 @@ def colouring_search(hg: UniformHypergraph, r: int,
     #         (processed, trail) of the currently applied assignment or None]
     stack: list[list] = [[1, 0, None]]
     check_every = 1024
+    status, colouring = UNCOLOURABLE, None
     while stack:
         frame = stack[-1]
         pos = len(stack) - 1
@@ -126,23 +155,27 @@ def colouring_search(hg: UniformHypergraph, r: int,
             stack.pop()
             continue
         frame[0] = c + 1
-        if budget is not None and nodes >= budget:
-            return SearchResult(BUDGET_EXCEEDED, None, nodes)
+        if limit is not None and nodes >= limit:
+            status = BUDGET_EXCEEDED
+            break
         nodes += 1
         if deadline is not None and nodes % check_every == 0 \
                 and time.monotonic() > deadline:
-            return SearchResult(BUDGET_EXCEEDED, None, nodes)
+            status = BUDGET_EXCEEDED
+            break
         ok, processed, trail = assign(pos, c)
         if not ok:
             undo(pos, processed, trail)
             continue
         assigned[pos] = c
         if pos + 1 == nv:
-            colours = {order[i]: assigned[i] for i in range(nv)}
-            return SearchResult(PROPER, Colouring(colours, r), nodes)
+            status = PROPER
+            colouring = Colouring(dict(zip(order, assigned)), r)
+            break
         frame[2] = (processed, trail)
         stack.append([1, max(frame[1], c), None])
-    return SearchResult(UNCOLOURABLE, None, nodes)
+    budget.charge(nodes)
+    return SearchResult(status, colouring, nodes)
 
 
 @dataclass(frozen=True)
@@ -153,16 +186,17 @@ class ArrowsResult:
 
 
 def arrows(base: Graph | int, kind: str, k: int, r: int,
-           budget: int | None = None,
-           deadline: float | None = None) -> ArrowsResult:
+           budget: BudgetTracker | None = None) -> ArrowsResult:
     """Does every r-colouring of the base's copies-universe hit a copy?
 
     Builds the system of copies and decides whether it is r-colourable;
     "arrows" corresponds to an exhaustive uncolourability proof, and the
-    not-arrows witness is a proper colouring of the universe.
+    not-arrows witness is a proper colouring of the universe.  An exhausted
+    budget answers BUDGET_EXCEEDED with no node spent.
     """
-    hg = system_of_copies(kind, base, k)
-    res = colouring_search(hg, r, budget=budget, deadline=deadline)
+    if budget is not None and budget.exhausted():
+        return ArrowsResult(BUDGET_EXCEEDED, None, 0)
+    res = colouring_search(system_of_copies(kind, base, k), r, budget)
     if res.status == UNCOLOURABLE:
         return ArrowsResult(ARROWS, None, res.nodes)
     if res.status == PROPER:

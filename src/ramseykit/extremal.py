@@ -11,12 +11,11 @@ skipped).  Correctness over speed: no automorphism machinery.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Graph, InputError
-from .search import EXACT, LOWER_BOUND_ONLY, SearchBudget
+from .search import EXACT, LOWER_BOUND_ONLY, BudgetTracker, SearchBudget
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
     for idx, (u, _) in enumerate(slots):
         block_end[u] = idx + 1
 
-    tracker = (budget or SearchBudget()).start()
+    tracker = BudgetTracker(budget)
     node_limit = tracker.remaining
     adj: list[list[int]] = [[] for _ in range(n)]
     degree = [0] * n
@@ -121,7 +120,6 @@ def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
         search(idx + 1)
 
     search(0)
-    tracker.charge(nodes)
     status = LOWER_BOUND_ONLY if ran_out else EXACT
     return ExtremalResult(status, best_edges, Graph(n, tuple(sorted(best_graph))),
                           nodes)

@@ -65,10 +65,15 @@ def read_graph(path) -> Graph:
     return g
 
 
-def write_graph(g: Graph, path) -> None:
+def format_graph(g: Graph) -> str:
+    """The canonical text of a graph file."""
     lines = [f"{g.n} {g.num_edges}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    return "\n".join(lines) + "\n"
+
+
+def write_graph(g: Graph, path) -> None:
+    Path(path).write_text(format_graph(g), encoding="ascii")
 
 
 def read_hypergraph(path) -> UniformHypergraph:

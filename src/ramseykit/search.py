@@ -8,54 +8,24 @@ size produces a verified witness colouring along the way.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .colouring import ARROWS, BUDGET_EXCEEDED, NOT_ARROWS, ArrowsResult, arrows
-from .graphs import InputError, complete_graph
+from .colouring import (
+    ARROWS,
+    BUDGET_EXCEEDED,
+    NOT_ARROWS,
+    ArrowsResult,
+    BudgetTracker,
+    Colouring,
+    SearchBudget,
+    arrows,
+)
+from .graphs import Graph, InputError, complete_graph
 from .hypergraphs import ap_count_formula
 
 EXACT = "exact"
 LOWER_BOUND_ONLY = "lower-bound-only"
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    node_limit: int | None = None
-    wall_secs: float | None = None
-
-    def start(self) -> "BudgetTracker":
-        return BudgetTracker(self)
-
-
-class BudgetTracker:
-    """Shared accounting across the calls of one sweep."""
-
-    def __init__(self, budget: SearchBudget | None):
-        budget = budget or SearchBudget()
-        self.remaining = budget.node_limit
-        self.deadline = (time.monotonic() + budget.wall_secs
-                         if budget.wall_secs is not None else None)
-
-    def exhausted(self) -> bool:
-        if self.remaining is not None and self.remaining <= 0:
-            return True
-        return self.deadline is not None and time.monotonic() > self.deadline
-
-    def charge(self, nodes: int):
-        if self.remaining is not None:
-            self.remaining -= nodes
-
-
-def _tracked_arrows(base, kind: str, k: int, r: int,
-                    tracker: BudgetTracker) -> ArrowsResult:
-    if tracker.exhausted():
-        return ArrowsResult(BUDGET_EXCEEDED, None, 0)
-    res = arrows(base, kind, k, r, budget=tracker.remaining,
-                 deadline=tracker.deadline)
-    tracker.charge(res.nodes)
-    return res
 
 
 def ramsey_decide(kind: str, k: int, r: int, n: int,
@@ -65,15 +35,12 @@ def ramsey_decide(kind: str, k: int, r: int, n: int,
         raise InputError(f"unknown pattern kind {kind!r}")
     if kind == "clique" and k == 2:
         # a 2-clique is an edge; one edge forces a monochromatic copy
-        from .colouring import Colouring
-
         if n >= 2:
             return ArrowsResult(ARROWS, None, 0)
         return ArrowsResult(NOT_ARROWS, Colouring({}, r), 0)
     if n < k:
         raise InputError(f"hosting {k}-vertex patterns needs n >= {k}")
-    tracker = budget.start() if budget else BudgetTracker(None)
-    return _tracked_arrows(complete_graph(n), kind, k, r, tracker)
+    return arrows(complete_graph(n), kind, k, r, BudgetTracker(budget))
 
 
 @dataclass(frozen=True)
@@ -88,22 +55,29 @@ class NumberResult:
         return self.n_reached + 1
 
 
-def ramsey_number(kind: str, k: int, r: int,
-                  budget: SearchBudget | None = None) -> NumberResult:
-    """Least n such that the complete graph on n vertices arrows the pattern."""
-    if kind == "clique" and k == 2:
-        return NumberResult(EXACT, 2, 1, 0)
-    tracker = (budget or SearchBudget()).start()
+def _least_arrowing(base_of: Callable[[int], Graph | int], kind: str, k: int,
+                    r: int, budget: SearchBudget | None) -> NumberResult:
+    """Decide n = k, k+1, ... on one shared budget until base_of(n) arrows
+    the pattern; a size the budget cannot settle leaves a lower bound."""
+    tracker = BudgetTracker(budget)
     nodes = 0
     n = k
     while True:
-        res = _tracked_arrows(complete_graph(n), kind, k, r, tracker)
+        res = arrows(base_of(n), kind, k, r, tracker)
         nodes += res.nodes
         if res.status == ARROWS:
             return NumberResult(EXACT, n, n - 1, nodes)
         if res.status == BUDGET_EXCEEDED:
             return NumberResult(LOWER_BOUND_ONLY, None, n - 1, nodes)
         n += 1
+
+
+def ramsey_number(kind: str, k: int, r: int,
+                  budget: SearchBudget | None = None) -> NumberResult:
+    """Least n such that the complete graph on n vertices arrows the pattern."""
+    if kind == "clique" and k == 2:
+        return NumberResult(EXACT, 2, 1, 0)
+    return _least_arrowing(complete_graph, kind, k, r, budget)
 
 
 def vdw_decide(n: int, k: int, r: int,
@@ -111,24 +85,13 @@ def vdw_decide(n: int, k: int, r: int,
     """Does every r-colouring of {1..n} contain a monochromatic k-term AP?"""
     if n < 1:
         raise InputError(f"interval length must be positive, got {n}")
-    tracker = (budget or SearchBudget()).start()
-    return _tracked_arrows(n, "ap", k, r, tracker)
+    return arrows(n, "ap", k, r, BudgetTracker(budget))
 
 
 def vdw_number(k: int, r: int,
                budget: SearchBudget | None = None) -> NumberResult:
     """Least n with the van der Waerden property for (k, r)."""
-    tracker = (budget or SearchBudget()).start()
-    nodes = 0
-    n = k
-    while True:
-        res = _tracked_arrows(n, "ap", k, r, tracker)
-        nodes += res.nodes
-        if res.status == ARROWS:
-            return NumberResult(EXACT, n, n - 1, nodes)
-        if res.status == BUDGET_EXCEEDED:
-            return NumberResult(LOWER_BOUND_ONLY, None, n - 1, nodes)
-        n += 1
+    return _least_arrowing(lambda n: n, "ap", k, r, budget)
 
 
 class FactViolationError(RuntimeError):

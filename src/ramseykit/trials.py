@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Iterator, TextIO
 
 from . import __version__
-from .colouring import colouring_search
+from .colouring import BudgetTracker, SearchBudget, colouring_search
 from .graphs import InputError, graph_girth
 from .hypergraphs import UniformHypergraph, system_of_copies
 from .sampling import (
@@ -183,7 +183,8 @@ def _run_one_trial(config: TrialConfig, index: int) -> ExperimentRecord:
         if config.search_budget:
             hg = system_of_copies("cycle", graph, config.k)
             search_status = colouring_search(
-                hg, config.r, budget=config.search_budget).status
+                hg, config.r,
+                BudgetTracker(SearchBudget(config.search_budget))).status
         return ExperimentRecord(
             **base, sample_size=graph.num_edges, cycle_counts=counts,
             girth_ok=girth_ok, search_status=search_status,
@@ -209,7 +210,7 @@ def _run_one_trial(config: TrialConfig, index: int) -> ExperimentRecord:
         if config.search_budget:
             search_status = colouring_search(
                 deletion.survivor, config.r,
-                budget=config.search_budget).status
+                BudgetTracker(SearchBudget(config.search_budget))).status
     return ExperimentRecord(
         **base, sample_size=sample_size, system_edges=hg.num_edges,
         cycle_counts=counts, deletion_status=deletion.status,

@@ -225,6 +225,20 @@ class TestCli:
         assert code == EXIT_OK
         assert blob["result"]["lower_bound"] == 6
 
+    def test_fbounds_budget_exit(self, capsys):
+        # a search that runs out settles no Ramsey number
+        code, blob = self.run_json(capsys, "fbounds", "-k", "4", "-r", "2",
+                                   "--search-R", "--budget-nodes", "40")
+        assert code == EXIT_BUDGET
+        assert blob["result"]["ramsey_number"] is None
+        # without --search-R nothing would read the budget
+        code = dispatch(["fbounds", "-k", "4", "-r", "2", "--budget-nodes",
+                         "5", "--json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert "--search-R" in captured.err
+
     def test_fact_vdw_random(self, capsys):
         code, blob = self.run_json(
             capsys, "fact-vdw", "-n", "2000", "-k", "3", "-r", "2",
@@ -234,7 +248,7 @@ class TestCli:
 
     def test_config_file_defaults_flags_win(self, capsys, tmp_path):
         conf = tmp_path / "v.conf"
-        conf.write_text("k=3\nr=2\nn=9\n")
+        conf.write_text("k=3\nr=2\nn=9\njson=false\n")
         code, blob = self.run_json(capsys, "vdw", "--config", str(conf))
         assert code == EXIT_OK
         assert blob["result"]["status"] == "arrows"
@@ -321,7 +335,16 @@ class TestTrialsCli:
         code = dispatch(["verify", "--graph", str(path), "--json"])
         blob = json.loads(capsys.readouterr().out)
         assert code == EXIT_OK
+        assert blob["result"]["canonical"] is True
         assert blob["result"]["girth"] == 5
+        # a blank line between edges still parses but is not canonical
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([header, first, "\n", *rest]))
+        code = dispatch(["verify", "--graph", str(path), "--json"])
+        blob = json.loads(capsys.readouterr().out)
+        assert code == EXIT_ERROR
+        assert blob["result"] == {"parses": True, "canonical": False,
+                                  "girth": 5}
 
 
 class TestSchemas:

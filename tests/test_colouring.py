@@ -9,7 +9,9 @@ from ramseykit.colouring import (
     NOT_ARROWS,
     PROPER,
     UNCOLOURABLE,
+    BudgetTracker,
     Colouring,
+    SearchBudget,
     arrows,
     colouring_from_classes,
     colouring_search,
@@ -81,9 +83,11 @@ class TestSearch:
 
     def test_budget_never_misreports(self):
         hg = system_of_copies("ap", 9, 3)
-        res = colouring_search(hg, 2, budget=3)
+        budget = BudgetTracker(SearchBudget(node_limit=3))
+        res = colouring_search(hg, 2, budget)
         assert res.status == BUDGET_EXCEEDED
         assert res.nodes <= 3
+        assert budget.remaining == 3 - res.nodes  # the search charged it
 
     def test_agrees_with_naive_oracle(self):
         rng = random.Random(5)
