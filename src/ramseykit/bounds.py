@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from mpmath import mp, mpf, workprec
 
@@ -241,7 +241,3 @@ def chernoff_tail(mu: Real, t: Real) -> LogNum:
         raise InputError("deviation above mu/2 is outside the regime "
                          "this bound covers")
     return LogNum.exp_of(-mu_l / 8)
-
-
-def monotone_nonincreasing(values: Sequence[LogNum]) -> bool:
-    return all(a >= b for a, b in zip(values, values[1:]))

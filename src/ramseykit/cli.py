@@ -18,6 +18,7 @@ from pathlib import Path
 from . import __version__
 from .bounds import container_condition, cycle_system_analytic_degrees
 from .colouring import (
+    ARROWS,
     BUDGET_EXCEEDED,
     PROPER,
     BudgetTracker,
@@ -121,6 +122,16 @@ def _budget(ns) -> SearchBudget:
     return SearchBudget(node_limit=ns.budget_nodes, wall_secs=ns.budget_secs)
 
 
+def _copy_source(ns):
+    """(kind, base, config echo) of the copy system --ap or --base names."""
+    if ns.k is None or (ns.ap is None and None in (ns.base, ns.kind)):
+        raise InputError("give --ap N with -k, or --base with --kind and -k")
+    if ns.ap is not None:
+        return "ap", ns.ap, {"ap": ns.ap, "k": ns.k}
+    src = {"base": ns.base, "kind": ns.kind, "k": ns.k}
+    return ns.kind, read_graph(ns.base), src
+
+
 def _load_system(ns):
     """Build the hypergraph a command operates on, plus a config echo."""
     sources = [ns.hypergraph is not None, ns.ap is not None,
@@ -130,16 +141,8 @@ def _load_system(ns):
     if ns.hypergraph is not None:
         hg = read_hypergraph(ns.hypergraph)
         return hg, {"hypergraph": ns.hypergraph}
-    if ns.ap is not None:
-        if ns.k is None:
-            raise InputError("--ap needs -k (progression length)")
-        hg = system_of_copies("ap", ns.ap, ns.k)
-        return hg, {"ap": ns.ap, "k": ns.k}
-    if ns.k is None or ns.kind is None:
-        raise InputError("--base needs --kind and -k")
-    base = read_graph(ns.base)
-    hg = system_of_copies(ns.kind, base, ns.k)
-    return hg, {"base": ns.base, "kind": ns.kind, "k": ns.k}
+    kind, base, src = _copy_source(ns)
+    return system_of_copies(kind, base, ns.k), src
 
 
 def _add_system_flags(sub):
@@ -422,19 +425,9 @@ def cmd_arrows(ns) -> int:
     if ns.hypergraph is not None:
         raise InputError("arrows needs a base object (--ap or --base), "
                          "not a prebuilt hypergraph; use `colour` for those")
-    if ns.ap is not None:
-        if ns.k is None:
-            raise InputError("--ap needs -k")
-        base, src = ns.ap, {"ap": ns.ap, "k": ns.k, "kind": "ap"}
-        kind = "ap"
-    else:
-        if ns.base is None or ns.kind is None or ns.k is None:
-            raise InputError("arrows needs --ap N or --base/--kind/-k")
-        base = read_graph(ns.base)
-        src = {"base": ns.base, "kind": ns.kind, "k": ns.k}
-        kind = ns.kind
+    kind, base, src = _copy_source(ns)
     res = arrows(base, kind, ns.k, ns.r, BudgetTracker(_budget(ns)))
-    emit(ns, "arrows", {**src, "r": ns.r},
+    emit(ns, "arrows", {**src, "kind": kind, "r": ns.r},
          {"status": res.status, "nodes": res.nodes, "witness": res.witness},
          "arrowing verdict via exhaustive colouring search on the system "
          "of copies",
@@ -484,7 +477,8 @@ def cmd_vdw(ns) -> int:
 
 
 def cmd_extremal(ns) -> int:
-    res = extremal_ex(ns.n, set(range(3, ns.m + 1)), _budget(ns))
+    res = extremal_ex(ns.n, set(range(3, ns.m + 1)),
+                      BudgetTracker(_budget(ns)))
     if ns.witness_out:
         write_graph(res.witness, ns.witness_out)
     emit(ns, "extremal", {"n": ns.n, "forbidden": f"3..{ns.m}"},
@@ -500,11 +494,16 @@ def cmd_fact_vdw(ns) -> int:
 
     if (ns.colouring is None) == (ns.random is None):
         raise InputError("choose exactly one of --colouring and --random")
+    if ns.verify_w:
+        proof = vdw_decide(ns.W, ns.k, ns.r)
+        if proof.status != ARROWS:
+            raise InputError(
+                f"W={ns.W} is not verified to force monochromatic "
+                f"{ns.k}-APs with {ns.r} colours (got {proof.status})")
     config = {"n": ns.n, "k": ns.k, "r": ns.r, "W": ns.W}
     if ns.colouring is not None:
         colours = read_colours(ns.colouring, range(1, ns.n + 1))
-        res = fact_vdw_check(Colouring(colours, ns.r + 1), ns.k, ns.r, ns.W,
-                             verify_w=ns.verify_w)
+        res = fact_vdw_check(Colouring(colours, ns.r + 1), ns.k, ns.r, ns.W)
         emit(ns, "fact-vdw", {**config, "colouring": ns.colouring},
              {"branch": res.branch, "mono_count": res.mono_count,
               "mono_threshold": res.mono_threshold,
@@ -522,8 +521,7 @@ def cmd_fact_vdw(ns) -> int:
         col = Colouring({i: rng.randint(1, ns.r + 1)
                          for i in range(1, ns.n + 1)}, ns.r + 1)
         try:
-            res = fact_vdw_check(col, ns.k, ns.r, ns.W,
-                                 verify_w=False)
+            res = fact_vdw_check(col, ns.k, ns.r, ns.W)
             tallies[res.branch] += 1
         except FactViolationError:
             violations += 1
@@ -535,10 +533,10 @@ def cmd_fact_vdw(ns) -> int:
 
 
 def cmd_fact7(ns) -> int:
-    budget = _budget(ns)
     ex_low, ex_high = ns.ex_low, ns.ex_high
     status = "supplied"
     if ns.search:
+        budget = BudgetTracker(_budget(ns))  # shared by both searches
         low = extremal_ex(ns.n, set(range(3, 2 * ns.k)), budget)
         high = extremal_ex(ns.n, set(range(3, 2 * ns.k + 1)), budget)
         ex_low, ex_high = low.max_edges, high.max_edges

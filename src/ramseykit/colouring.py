@@ -27,9 +27,6 @@ class Colouring:
     colours: dict[int, int]  # vertex -> colour index, 1-based
     num_colours: int
 
-    def colour_class(self, c: int) -> set[int]:
-        return {v for v, cc in self.colours.items() if cc == c}
-
 
 def colouring_from_classes(classes: Mapping[int, set | list], num_colours: int) -> Colouring:
     colours: dict[int, int] = {}

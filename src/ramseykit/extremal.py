@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Graph, InputError
-from .search import EXACT, LOWER_BOUND_ONLY, BudgetTracker, SearchBudget
+from .search import EXACT, LOWER_BOUND_ONLY, BudgetTracker
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,16 @@ def _bfs_distance_at_least(adj: list[list[int]], u: int, v: int,
     return True
 
 
-def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
+def extremal_ex(n: int, forbidden, budget: BudgetTracker | None = None
                 ) -> ExtremalResult:
     """Exact max edge count of an n-vertex graph with no cycle of a
     forbidden length, together with a witness.
 
     `forbidden` must be the contiguous range {3, ..., m}; the search then
-    looks for the densest graph of girth at least m+1.  Budget exhaustion
-    returns the best graph found so far, marked lower-bound-only.
+    looks for the densest graph of girth at least m+1.  `budget` is a
+    started budget, possibly shared with other searches, and is charged the
+    nodes spent.  Budget exhaustion returns the best graph found so far,
+    marked lower-bound-only.
     """
     forb = sorted(set(forbidden))
     if not forb or forb != list(range(3, forb[-1] + 1)):
@@ -65,12 +67,8 @@ def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
         raise InputError("vertex count must be non-negative")
     slots = list(combinations(range(n), 2))
     total = len(slots)
-    # block_end[u] = slot index right after the last edge (u, *)
-    block_end = [0] * n
-    for idx, (u, _) in enumerate(slots):
-        block_end[u] = idx + 1
 
-    tracker = BudgetTracker(budget)
+    tracker = budget or BudgetTracker(None)
     node_limit = tracker.remaining
     adj: list[list[int]] = [[] for _ in range(n)]
     degree = [0] * n
@@ -87,10 +85,10 @@ def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
         if node_limit is not None and nodes >= node_limit:
             ran_out = True
             return
-        nodes += 1
         if nodes % 4096 == 0 and tracker.exhausted():
             ran_out = True
             return
+        nodes += 1
         if len(chosen) + (total - idx) <= best_edges:
             return  # cannot beat the incumbent
         if idx == total:
@@ -120,6 +118,7 @@ def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
         search(idx + 1)
 
     search(0)
+    tracker.charge(nodes)
     status = LOWER_BOUND_ONLY if ran_out else EXACT
     return ExtremalResult(status, best_edges, Graph(n, tuple(sorted(best_graph))),
                           nodes)

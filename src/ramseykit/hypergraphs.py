@@ -5,9 +5,16 @@ every set of h' < g hyperedges spans at least (uniformity-1)*h' + 1 vertices.
 The cycle form (`enumerate_short_cycles`) enumerates 2-cycles (two edges
 sharing >= 2 vertices) and j-cycles (cyclic edge sequences with consecutive
 intersections of exactly one vertex, nonconsecutive edges disjoint, and all
-intersection points distinct).  A cycle always violates sparsity; agreement
-in the other direction is checked empirically by the test suite, with
-sparsity treated as ground truth.
+intersection points distinct).
+
+The two notions agree.  A j-cycle spans at most (uniformity-1)*j vertices,
+so it violates sparsity.  Conversely, a minimal violating edge set is
+connected (two parts would each span at least (uniformity-1)*size + 1
+vertices), so its edge-vertex incidence graph is not a tree and holds a
+Berge cycle of at most as many edges.  A shortest Berge cycle is a census
+cycle: two edges meeting twice, or nonconsecutive edges meeting at all,
+would close a shorter one.  Deletion still re-checks its survivor with
+`sparsity_girth`, as a guard against a fault in the census.
 """
 
 from __future__ import annotations
@@ -26,10 +33,6 @@ class UniformHypergraph:
     h: int
     universe: tuple[int, ...]  # sorted distinct vertex ids
     edges: tuple[tuple[int, ...], ...]  # sorted h-tuples, lex-sorted list
-    _vertex_set: frozenset = field(default_factory=frozenset, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_vertex_set", frozenset(self.universe))
 
     @property
     def num_edges(self) -> int:
@@ -38,9 +41,6 @@ class UniformHypergraph:
     @property
     def num_vertices(self) -> int:
         return len(self.universe)
-
-    def contains_vertex(self, v: int) -> bool:
-        return v in self._vertex_set
 
     @cached_property
     def incidence(self) -> dict[int, tuple[int, ...]]:
@@ -244,23 +244,17 @@ def enumerate_short_cycles(hg: UniformHypergraph, g: int) -> CycleReport:
     cycles: list[tuple[int, tuple[int, ...]]] = []
 
     # intersecting pairs come from the incidence index; neighbours (pairs
-    # meeting in exactly one vertex) stay ascending, with their common point
-    point: dict[tuple[int, int], int] = {}
+    # meeting in exactly one vertex) stay ascending
     neighbours: list[list[int]] = [[] for _ in range(m)]
     incidence = hg.incidence
     for a, edge in enumerate(hg.edges):
         later = {b for v in edge for b in incidence[v] if b > a}
         for b in sorted(later):
-            common = edge_sets[a] & edge_sets[b]
-            if len(common) == 1:
-                point[(a, b)] = next(iter(common))
+            if len(edge_sets[a] & edge_sets[b]) == 1:
                 neighbours[a].append(b)
                 neighbours[b].append(a)
             elif g > 2:
                 cycles.append((2, (a, b)))
-
-    def common_point(a: int, b: int) -> int:
-        return point[(a, b) if a < b else (b, a)]
 
     max_len = g - 1
 
@@ -281,14 +275,13 @@ def enumerate_short_cycles(hg: UniformHypergraph, g: int) -> CycleReport:
                 extend(path)
                 path.pop()
             elif nxt_set & start_set:
-                # meets the start: only legal as the closing edge
-                if nxt in closers and path[1] < nxt:
-                    pts = [common_point(path[i], path[i + 1])
-                           for i in range(len(path) - 1)]
-                    pts.append(common_point(last, nxt))
-                    pts.append(common_point(nxt, start))
-                    if len(set(pts)) == len(pts):
-                        cycles.append((len(path) + 1, tuple(path) + (nxt,)))
+                # meets the start: only legal as the closing edge.  The
+                # intersection points are distinct unless a 3-cycle's edges
+                # share a vertex (a repeated point meets nonconsecutive edges)
+                if nxt in closers and path[1] < nxt and (
+                        len(path) > 2
+                        or not start_set & edge_sets[last] & nxt_set):
+                    cycles.append((len(path) + 1, tuple(path) + (nxt,)))
             elif len(path) + 1 < max_len:
                 path.append(nxt)
                 extend(path)

@@ -41,17 +41,23 @@ def _ints(path, line_no: int, line: str, expected: int) -> list[int]:
         raise FormatError(path, line_no, f"non-integer field: {exc}") from exc
 
 
-def read_graph(path) -> Graph:
+def _read_rows(path, header_fields: int, what: str):
+    """Header integers, then the non-blank rows with their line numbers."""
     lines = _read_lines(path)
     if not lines:
         raise FormatError(path, 1, "empty file")
-    n, m = _ints(path, 1, lines[0], 2)
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != m:
-        raise FormatError(path, len(lines),
-                          f"header promises {m} edges, found {len(body)}")
+    header = _ints(path, 1, lines[0], header_fields)
+    rows = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    if len(rows) != header[-1]:
+        raise FormatError(path, len(lines), f"header promises {header[-1]} "
+                                            f"{what}, found {len(rows)}")
+    return header, rows
+
+
+def read_graph(path) -> Graph:
+    (n, m), rows = _read_rows(path, 2, "edges")
     pairs = []
-    for i, line in enumerate(body, start=2):
+    for i, line in rows:
         u, v = _ints(path, i, line, 2)
         if u >= v:
             raise FormatError(path, i, f"pair must ascend, got {u} {v}")
@@ -77,16 +83,9 @@ def write_graph(g: Graph, path) -> None:
 
 
 def read_hypergraph(path) -> UniformHypergraph:
-    lines = _read_lines(path)
-    if not lines:
-        raise FormatError(path, 1, "empty file")
-    h, n, m = _ints(path, 1, lines[0], 3)
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != m:
-        raise FormatError(path, len(lines),
-                          f"header promises {m} hyperedges, found {len(body)}")
+    (h, n, _), rows = _read_rows(path, 3, "hyperedges")
     edges = []
-    for i, line in enumerate(body, start=2):
+    for i, line in rows:
         edge = _ints(path, i, line, h)
         if any(not 0 <= v < n for v in edge):
             raise FormatError(path, i, f"vertex outside 0..{n - 1}")

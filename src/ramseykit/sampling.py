@@ -136,9 +136,9 @@ def delete_short_cycles(hg: UniformHypergraph, g: int,
     survivor = hg.restrict(removed)
     verdict = sparsity_girth(survivor, g)
     while not verdict.satisfied:
-        # the two girth notions disagreed on this instance: fall back to
-        # deleting directly from sparsity witnesses so the postcondition
-        # still holds, and flag the divergence
+        # the girth notions agree, so only a census fault leads here: fall
+        # back to deleting directly from sparsity witnesses so the
+        # postcondition still holds, and flag the divergence
         warnings.warn(
             "cycle enumeration left a sparsity violation; deleting from "
             "the witness directly", RuntimeWarning, stacklevel=2)

@@ -135,16 +135,14 @@ def count_monochromatic_aps(masks: Sequence[int], n: int, k: int,
     return total
 
 
-def fact_vdw_check(colours, k: int, r: int, w: int,
-                   verify_w: bool = False,
-                   budget: SearchBudget | None = None) -> FactCheckResult:
+def fact_vdw_check(colours, k: int, r: int, w: int) -> FactCheckResult:
     """Which disjunct holds for an (r+1)-colouring of an interval?
 
     Either the first r colours already carry more than ap_count(n,k)/W^3
     monochromatic k-APs, or more than n/(4W) elements wear colour r+1.
     The counting argument behind the dichotomy needs the interval to carry
     at least n^2/(2W) W-term APs; shorter intervals are refused outright
-    rather than guessed at.
+    rather than guessed at.  W itself is taken as given.
     """
     mapping = colours.colours if hasattr(colours, "colours") else dict(colours)
     n = len(mapping)
@@ -155,12 +153,6 @@ def fact_vdw_check(colours, k: int, r: int, w: int,
         if not 1 <= c <= r + 1:
             raise InputError(f"colour {c} outside 1..{r + 1}")
         masks[c] |= 1 << v
-    if verify_w:
-        res = vdw_decide(w, k, r, budget)
-        if res.status != ARROWS:
-            raise InputError(
-                f"W={w} is not verified to force monochromatic {k}-APs "
-                f"with {r} colours (got {res.status})")
     long_aps = ap_count_formula(n, w) if n >= w else 0
     if 2 * w * long_aps < n * n:
         raise InputError(

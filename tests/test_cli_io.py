@@ -53,6 +53,12 @@ class TestGraphFiles:
         with pytest.raises(FormatError, match=":2:"):
             read_graph(path)
 
+    def test_blank_line_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_text("4 2\n\n0 1\n2 x\n")
+        with pytest.raises(FormatError, match=":4:"):
+            read_graph(path)
+
     def test_descending_pair_rejected(self, tmp_path):
         path = tmp_path / "bad.graph"
         path.write_text("3 1\n1 0\n")
@@ -80,6 +86,12 @@ class TestHypergraphFiles:
         path = tmp_path / "bad.hg"
         path.write_text("3 4 1\n0 1 9\n")
         with pytest.raises(FormatError):
+            read_hypergraph(path)
+
+    def test_blank_lines_keep_line_numbers(self, tmp_path):
+        path = tmp_path / "bad.hg"
+        path.write_text("3 4 2\n\n0 1 2\n\n0 1 9\n")
+        with pytest.raises(FormatError, match=r":5: vertex outside"):
             read_hypergraph(path)
 
 
@@ -245,6 +257,33 @@ class TestCli:
             "-W", "9", "--random", "5", "--seed", "3")
         assert code == EXIT_OK
         assert blob["result"]["violations"] == 0
+
+    def verify_w(self, capsys, source, w):
+        code = dispatch(["fact-vdw", "-n", "2000", "-k", "3", "-r", "2",
+                         "-W", str(w), "--verify-w", *source, "--json"])
+        return code, capsys.readouterr()
+
+    def test_fact_vdw_verify_w_colouring(self, capsys, tmp_path):
+        colours = tmp_path / "last.col"
+        colours.write_text(" ".join(["3"] * 2000) + "\n")
+        source = ["--colouring", str(colours)]
+        code, out = self.verify_w(capsys, source, 9)  # W(3;2) = 9
+        assert code == EXIT_OK
+        assert json.loads(out.out)["result"]["branch"] == "second"
+        code, out = self.verify_w(capsys, source, 8)
+        assert code == EXIT_ERROR
+        assert out.out == ""
+        assert "W=8 is not verified" in out.err
+
+    def test_fact_vdw_verify_w_random(self, capsys):
+        source = ["--random", "3", "--seed", "1"]
+        code, out = self.verify_w(capsys, source, 9)
+        assert code == EXIT_OK
+        assert json.loads(out.out)["result"]["violations"] == 0
+        code, out = self.verify_w(capsys, source, 8)
+        assert code == EXIT_ERROR
+        assert out.out == ""
+        assert "W=8 is not verified" in out.err
 
     def test_config_file_defaults_flags_win(self, capsys, tmp_path):
         conf = tmp_path / "v.conf"

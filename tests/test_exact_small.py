@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramseykit.colouring import ARROWS, BUDGET_EXCEEDED, NOT_ARROWS, Colouring, verify_colouring
+from ramseykit.colouring import ARROWS, BUDGET_EXCEEDED, NOT_ARROWS, BudgetTracker, Colouring, verify_colouring
 from ramseykit.extremal import ExtremalResult, extremal_ex, fact7_premise
 from ramseykit.fbounds import f_bound_report, moore_lower_bound
 from ramseykit.graphs import InputError, complete_graph, graph_girth
@@ -133,13 +133,6 @@ class TestFactCheck:
         with pytest.raises(InputError):
             fact_vdw_check(col, 3, 2, 9)
 
-    def test_verify_w_flag(self):
-        n = 2000
-        col = Colouring({i: 3 for i in range(1, n + 1)}, 3)
-        assert fact_vdw_check(col, 3, 2, 9, verify_w=True).branch == "second"
-        with pytest.raises(InputError):
-            fact_vdw_check(col, 3, 2, 8, verify_w=True)
-
 
 class TestExtremal:
     def test_girth_5_on_5_vertices(self):
@@ -176,22 +169,37 @@ class TestExtremal:
         assert res.max_edges == len(res.witness.edges)
 
     def test_budget_lower_bound(self):
-        res = extremal_ex(8, {3}, SearchBudget(node_limit=5_000))
+        res = extremal_ex(8, {3}, BudgetTracker(SearchBudget(node_limit=5_000)))
         assert res.status in (EXACT, LOWER_BOUND_ONLY)
         assert res.max_edges <= 16
         assert graph_girth(res.witness) > 3
 
     def test_node_budget_stops_the_search(self):
         # the unbudgeted search needs over 300,000 nodes here
-        res = extremal_ex(8, {3, 4}, SearchBudget(node_limit=1000))
+        res = extremal_ex(8, {3, 4},
+                          BudgetTracker(SearchBudget(node_limit=1000)))
         assert res.status == LOWER_BOUND_ONLY
         assert res.nodes <= 1000
         assert graph_girth(res.witness) > 4
         assert res.max_edges == len(res.witness.edges)
         # out of budget before the first leaf: the empty graph stands
-        res = extremal_ex(8, {3, 4}, SearchBudget(node_limit=5))
+        res = extremal_ex(8, {3, 4},
+                          BudgetTracker(SearchBudget(node_limit=5)))
         assert res.status == LOWER_BOUND_ONLY
         assert res.max_edges == len(res.witness.edges) == 0
+
+    def test_shared_budget_is_charged(self):
+        budget = BudgetTracker(SearchBudget(node_limit=100_000))
+        res = extremal_ex(6, {3}, budget)
+        assert res.status == EXACT
+        assert budget.remaining == 100_000 - res.nodes
+        # a budget already spent, in nodes or in time, answers at once
+        for spent in (SearchBudget(node_limit=0),
+                      SearchBudget(wall_secs=-1.0)):
+            res = extremal_ex(8, {3, 4}, BudgetTracker(spent))
+            assert res.status == LOWER_BOUND_ONLY
+            assert res.nodes == 0
+            assert res.max_edges == 0 and res.witness.edges == ()
 
     def test_bad_forbidden_set(self):
         with pytest.raises(InputError):

@@ -258,8 +258,9 @@ class TestShortCycles:
                     assert not sparsity_girth(hg, g).satisfied
 
     def test_sparsity_matches_cycles_empirically(self):
-        # sparsity is ground truth; this documents observed agreement on
-        # the random family rather than asserting a theorem
+        # the two notions agree by the argument in the hypergraphs module
+        # docstring; check it on the random family, with a brute-force span
+        # oracle for the sparsity side
         rng = random.Random(29)
         disagreements = []
         for _ in range(300):

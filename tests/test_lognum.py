@@ -76,6 +76,11 @@ class TestArithmetic:
                 assert (a >= b) == (i >= j)
         assert LogNum.from_int(5) == 5
 
+    def test_unhashable(self):
+        # equal to the int 4, so a hash of its own would break dict lookups
+        with pytest.raises(TypeError):
+            hash(LogNum.from_int(4))
+
     def test_exp_of(self):
         assert LogNum.exp_of(1).to_float() == pytest.approx(math.e)
         assert LogNum.exp_of(-2).to_float() == pytest.approx(math.exp(-2))

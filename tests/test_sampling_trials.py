@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from ramseykit import hypergraphs, sampling, trials
+from ramseykit import graphs, hypergraphs, sampling, trials
 from ramseykit.graphs import InputError, graph_girth
 from ramseykit.hypergraphs import (
     ap_count_formula,
@@ -235,7 +235,9 @@ class TestRunTrials:
                 assert r.search_status is not None
 
     def test_each_fact_computed_once_per_trial(self, monkeypatch):
-        calls = {"enumerate_short_cycles": 0, "sparsity_girth": 0}
+        homes = {"enumerate_short_cycles": hypergraphs,
+                 "sparsity_girth": hypergraphs, "graph_girth": graphs}
+        calls = dict.fromkeys(homes, 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -243,9 +245,9 @@ class TestRunTrials:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in calls:
-            original = getattr(hypergraphs, name)
-            for module in (hypergraphs, sampling, trials):
+        for name, home in homes.items():
+            original = getattr(home, name)
+            for module in (graphs, hypergraphs, sampling, trials):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, original))
         configs = [TrialConfig(**GOLDEN_CONFIGS[name])
@@ -261,9 +263,25 @@ class TestRunTrials:
                     ok = record.deletion_status == DELETION_OK
                     ok_trials += ok
                     assert calls == {"enumerate_short_cycles": 1,
-                                     "sparsity_girth": int(ok)}
+                                     "sparsity_girth": int(ok),
+                                     "graph_girth": 0}
                     calls.update(dict.fromkeys(calls, 0))
         assert ok_trials >= 2
+        # a cycles trial reads its girth verdict off its cycle counts; the
+        # sparser batch adds trials of girth >= g to the golden ones
+        cycles = GOLDEN_CONFIGS["cycles"]
+        verdicts = set()
+        for cfg in (TrialConfig(**cycles),
+                    TrialConfig(**{**cycles, "p": 0.03})):
+            for record in run_trials(cfg):
+                if record.type != "trial":
+                    continue
+                assert calls == dict.fromkeys(calls, 0)
+                sample = sample_gnp(cfg.n, cfg.resolved_p(), record.seed)
+                assert record.girth_ok == (graph_girth(sample)
+                                           >= cfg.resolved_g())
+                verdicts.add(record.girth_ok)
+        assert verdicts == {True, False}
 
     def test_config_validation(self):
         with pytest.raises(InputError):
