@@ -122,8 +122,19 @@ def _budget(ns) -> SearchBudget:
     return SearchBudget(node_limit=ns.budget_nodes, wall_secs=ns.budget_secs)
 
 
+def _budget_needs(ns, searching: bool, flag: str) -> SearchBudget:
+    """The budget flags, rejected when the search they bound is not run."""
+    budget = _budget(ns)
+    if not searching and budget != SearchBudget():
+        raise InputError(f"a search budget bounds only the search of "
+                         f"{flag}; add it or drop the budget")
+    return budget
+
+
 def _copy_source(ns):
     """(kind, base, config echo) of the copy system --ap or --base names."""
+    if [ns.hypergraph, ns.ap, ns.base].count(None) != 2:
+        raise InputError("choose exactly one of --hypergraph, --ap, --base")
     if ns.k is None or (ns.ap is None and None in (ns.base, ns.kind)):
         raise InputError("give --ap N with -k, or --base with --kind and -k")
     if ns.ap is not None:
@@ -134,14 +145,10 @@ def _copy_source(ns):
 
 def _load_system(ns):
     """Build the hypergraph a command operates on, plus a config echo."""
-    sources = [ns.hypergraph is not None, ns.ap is not None,
-               ns.base is not None]
-    if sum(sources) != 1:
-        raise InputError("choose exactly one of --hypergraph, --ap, --base")
-    if ns.hypergraph is not None:
+    if ns.hypergraph is not None and ns.ap is None and ns.base is None:
         hg = read_hypergraph(ns.hypergraph)
         return hg, {"hypergraph": ns.hypergraph}
-    kind, base, src = _copy_source(ns)
+    kind, base, src = _copy_source(ns)  # rejects every other mix
     return system_of_copies(kind, base, ns.k), src
 
 
@@ -533,12 +540,13 @@ def cmd_fact_vdw(ns) -> int:
 
 
 def cmd_fact7(ns) -> int:
+    budget = _budget_needs(ns, ns.search, "--search")
     ex_low, ex_high = ns.ex_low, ns.ex_high
     status = "supplied"
     if ns.search:
-        budget = BudgetTracker(_budget(ns))  # shared by both searches
-        low = extremal_ex(ns.n, set(range(3, 2 * ns.k)), budget)
-        high = extremal_ex(ns.n, set(range(3, 2 * ns.k + 1)), budget)
+        tracker = BudgetTracker(budget)  # shared by both searches
+        low = extremal_ex(ns.n, set(range(3, 2 * ns.k)), tracker)
+        high = extremal_ex(ns.n, set(range(3, 2 * ns.k + 1)), tracker)
         ex_low, ex_high = low.max_edges, high.max_edges
         status = "searched" if low.status == EXACT and high.status == EXACT \
             else "searched-lower-bound"
@@ -561,10 +569,7 @@ def cmd_fact7(ns) -> int:
 
 
 def cmd_fbounds(ns) -> int:
-    budget = _budget(ns)
-    if not ns.search_R and budget != SearchBudget():
-        raise InputError("a search budget bounds only the search of "
-                         "--search-R; add it or drop the budget")
+    budget = _budget_needs(ns, ns.search_R, "--search-R")
     report = f_bound_report(ns.k, ns.r, ramsey_value=ns.R,
                             search_budget=budget if ns.search_R else None)
     blob = report.to_json()

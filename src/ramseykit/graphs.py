@@ -157,9 +157,12 @@ def enumerate_graph_cycles(g: Graph, length: int) -> Iterator[tuple[int, ...]]:
 
     def extend(depth: int, used: int, start: int):
         last = path[depth - 1]
-        if depth == length:
-            if bits[last] >> start & 1 and path[1] < path[-1]:
-                yield tuple(path)
+        if depth == length - 1:
+            # the closing vertex: adjacent to the start, past path[1]
+            for y in adj[last]:
+                if y > path[1] and bits[y] >> start & 1 and not used >> y & 1:
+                    path[depth] = y
+                    yield tuple(path)
             return
         for y in adj[last]:
             if y > start and not used >> y & 1:

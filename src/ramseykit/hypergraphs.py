@@ -19,6 +19,7 @@ would close a shorter one.  Deletion still re-checks its survivor with
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -201,22 +202,64 @@ def sparsity_girth(hg: UniformHypergraph, g: int) -> GirthVerdict:
     Satisfied iff every h'-subset of edges, 2 <= h' < g, spans at least
     (uniformity-1)*h' + 1 vertices.  On violation the witness is the one
     with smallest h', then lexicographically least edge-index set.
+
+    Only connected edge sets are examined, grown by the ESU scheme
+    (Wernicke, IEEE/ACM TCBB 2006): each set is grown from its least edge
+    index, the root, through the incidence index.  A neighbour of the newest
+    member becomes a candidate only if it is larger than the root and was
+    neither a member nor a neighbour of the set before, so every connected
+    set is met once.  This is exact because
+    a violator of least size is connected (see the module docstring): below
+    that size nothing violates, and at it the lex-least violator is the
+    lex-least connected one, so the first root holding a violator holds it.
+    Neighbour lists and vertex masks are made only for the edges reached.
     """
     if g < 2:
         raise InputError(f"girth threshold must be >= 2, got {g}")
-    k = hg.h
-    m = hg.num_edges
-    edge_sets = [frozenset(e) for e in hg.edges]
-    for size in range(2, g):
-        if size > m:
-            break
-        limit = (k - 1) * size
-        for idxs in combinations(range(m), size):
-            span = set()
-            for i in idxs:
-                span |= edge_sets[i]
-            if len(span) <= limit:
-                return GirthVerdict(g, False, idxs, len(span))
+    edges = hg.edges
+    incidence = hg.incidence
+    bit = {v: 1 << i for i, v in enumerate(hg.universe)}
+    masks: dict[int, int] = {}
+    neighbours: dict[int, list[int]] = {}
+
+    def mask(e: int) -> int:
+        if e not in masks:
+            masks[e] = sum(bit[v] for v in edges[e])
+        return masks[e]
+
+    def later_neighbours(e: int, root: int) -> list[int]:
+        if e not in neighbours:
+            near = {f for v in edges[e] for f in incidence[v]}
+            near.discard(e)
+            neighbours[e] = sorted(near)
+        return neighbours[e][bisect_right(neighbours[e], root):]
+
+    for size in range(2, min(g, len(edges) + 1)):
+        limit = (hg.h - 1) * size
+        found: list[tuple[tuple[int, ...], int]] = []  # (edges, span)
+        chosen: list[int] = []
+
+        def grow(span: int, ext: list[int], closed: set[int]) -> None:
+            if len(chosen) + 1 == size:
+                for e in ext:
+                    spanned = (span | mask(e)).bit_count()
+                    if spanned <= limit:
+                        found.append((tuple(sorted(chosen + [e])), spanned))
+                return
+            for i, e in enumerate(ext):
+                fresh = [f for f in later_neighbours(e, root)
+                         if f not in closed]
+                chosen.append(e)
+                grow(span | mask(e), ext[i + 1:] + fresh, closed.union(fresh))
+                chosen.pop()
+
+        for root in range(len(edges)):
+            ext = later_neighbours(root, root)
+            chosen.append(root)
+            grow(mask(root), ext, {root, *ext})
+            chosen.pop()
+            if found:
+                return GirthVerdict(g, False, *min(found))
     return GirthVerdict(g, True)
 
 
@@ -239,8 +282,9 @@ def enumerate_short_cycles(hg: UniformHypergraph, g: int) -> CycleReport:
     cyclic edge sequence: the stored tuple starts at the smallest edge
     index and its second entry is smaller than its last.
     """
-    edge_sets = [frozenset(e) for e in hg.edges]
-    m = len(edge_sets)
+    bit = {v: 1 << i for i, v in enumerate(hg.universe)}
+    masks = [sum(bit[v] for v in e) for e in hg.edges]
+    m = len(masks)
     cycles: list[tuple[int, tuple[int, ...]]] = []
 
     # intersecting pairs come from the incidence index; neighbours (pairs
@@ -250,7 +294,7 @@ def enumerate_short_cycles(hg: UniformHypergraph, g: int) -> CycleReport:
     for a, edge in enumerate(hg.edges):
         later = {b for v in edge for b in incidence[v] if b > a}
         for b in sorted(later):
-            if len(edge_sets[a] & edge_sets[b]) == 1:
+            if (masks[a] & masks[b]).bit_count() == 1:
                 neighbours[a].append(b)
                 neighbours[b].append(a)
             elif g > 2:
@@ -258,39 +302,38 @@ def enumerate_short_cycles(hg: UniformHypergraph, g: int) -> CycleReport:
 
     max_len = g - 1
 
-    def extend(path: list[int]):
+    def extend(path: list[int], inner: int):
+        # inner: the OR of the masks of path[1:-1], which nxt must miss
         start = path[0]
         last = path[-1]
-        start_set = edge_sets[start]
+        start_mask = masks[start]
         for nxt in neighbours[last]:
-            if nxt <= start or nxt in path:
-                continue
-            nxt_set = edge_sets[nxt]
-            if any(nxt_set & edge_sets[q] for q in path[1:-1]):
+            nxt_mask = masks[nxt]
+            if nxt <= start or nxt_mask & inner:
                 continue  # nonconsecutive edges must be disjoint
             if len(path) == 1:
                 # second edge of the cycle: consecutive to the start, so it
                 # is allowed (required, even) to meet it
                 path.append(nxt)
-                extend(path)
+                extend(path, 0)
                 path.pop()
-            elif nxt_set & start_set:
+            elif nxt_mask & start_mask:
                 # meets the start: only legal as the closing edge.  The
                 # intersection points are distinct unless a 3-cycle's edges
                 # share a vertex (a repeated point meets nonconsecutive edges)
                 if nxt in closers and path[1] < nxt and (
                         len(path) > 2
-                        or not start_set & edge_sets[last] & nxt_set):
+                        or not start_mask & masks[last] & nxt_mask):
                     cycles.append((len(path) + 1, tuple(path) + (nxt,)))
             elif len(path) + 1 < max_len:
                 path.append(nxt)
-                extend(path)
+                extend(path, inner | masks[last])
                 path.pop()
 
     if max_len >= 3:
         for start in range(m):
             closers = set(neighbours[start])
-            extend([start])
+            extend([start], 0)
 
     counts = {j: 0 for j in range(2, max(g, 2))}
     for j, _ in cycles:

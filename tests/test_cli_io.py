@@ -193,6 +193,27 @@ class TestCli:
         assert code == EXIT_OK
         assert blob["result"]["status"] == "arrows"
 
+    def test_one_copy_source(self, capsys, tmp_path):
+        # arrows, colour and cycles share one exclusivity rule
+        path = tmp_path / "c5.graph"
+        write_graph(graph_from_edges(5, [(i, (i + 1) % 5) for i in range(5)]),
+                    path)
+        both = ["--ap", "9", "-k", "3", "--base", str(path), "--kind",
+                "cycle"]
+        for argv in (["arrows", *both, "-r", "2"],
+                     ["colour", *both, "-r", "2"],
+                     ["cycles", *both, "-g", "3"]):
+            code = dispatch([*argv, "--json"])
+            captured = capsys.readouterr()
+            assert code == EXIT_ERROR
+            assert captured.out == ""
+            assert "choose exactly one of --hypergraph, --ap, --base" \
+                in captured.err
+        # arrows keeps its own message for a prebuilt hypergraph
+        code = dispatch(["arrows", "--hypergraph", str(path), "-r", "2"])
+        assert code == EXIT_ERROR
+        assert "use `colour` for those" in capsys.readouterr().err
+
     def test_colour_cli_witness(self, capsys, tmp_path):
         path = tmp_path / "k5.graph"
         write_graph(complete_graph(5), path)
@@ -230,6 +251,17 @@ class TestCli:
         assert blob["config"]["values"] == "searched-lower-bound"
         assert blob["result"]["holds"] is False
         assert blob["result"]["implied_upper"] is None
+
+    def test_fact7_budget_needs_search(self, capsys):
+        # with supplied values nothing would read the budget
+        for flag, value in (("--budget-nodes", "5"), ("--budget-secs", "1")):
+            code = dispatch(["fact7", "-n", "5", "-r", "1", "-k", "2",
+                             "--ex-low", "6", "--ex-high", "5", flag, value,
+                             "--json"])
+            captured = capsys.readouterr()
+            assert code == EXIT_ERROR
+            assert captured.out == ""
+            assert "--search;" in captured.err
 
     def test_fbounds_cli(self, capsys):
         code, blob = self.run_json(capsys, "fbounds", "-k", "4", "-r", "2",

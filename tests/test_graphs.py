@@ -1,8 +1,9 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramseykit.graphs import (
     Graph,
@@ -90,23 +91,22 @@ class TestGirth:
 
 
 class TestCycleEnumeration:
-    def brute_cycle_count(self, g: Graph, j: int) -> int:
+    def brute_cycles(self, g: Graph, j: int) -> set[tuple[int, ...]]:
         # reference: all vertex subsets, all cyclic orders, up to symmetry
-        count = 0
+        found = set()
         for sub in combinations(range(g.n), j):
             fixed = sub[0]
             rest = sub[1:]
-            seen = set()
-            from itertools import permutations
-
             for perm in permutations(rest):
                 if perm[0] > perm[-1]:
                     continue  # reflection
                 cyc = (fixed,) + perm
                 if all(g.has_edge(cyc[i], cyc[(i + 1) % j]) for i in range(j)):
-                    seen.add(cyc)
-            count += len(seen)
-        return count
+                    found.add(cyc)
+        return found
+
+    def brute_cycle_count(self, g: Graph, j: int) -> int:
+        return len(self.brute_cycles(g, j))
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_against_bruteforce(self, n):
@@ -127,3 +127,17 @@ class TestCycleEnumeration:
         for cyc in enumerate_graph_cycles(complete_graph(5), 4):
             assert cyc[0] == min(cyc)
             assert cyc[1] < cyc[-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_same_cycles_as_bruteforce(self, data):
+        n = data.draw(st.integers(3, 7))
+        pairs = data.draw(st.sets(st.sampled_from(
+            list(combinations(range(n), 2)))))
+        g = graph_from_edges(n, pairs)
+        for j in range(3, n + 1):
+            listed = list(enumerate_graph_cycles(g, j))
+            assert len(listed) == len(set(listed))  # no repeats
+            for cyc in listed:
+                assert cyc[0] == min(cyc) and cyc[1] < cyc[-1]
+            assert set(listed) == self.brute_cycles(g, j)

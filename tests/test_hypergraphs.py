@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramseykit.graphs import InputError, complete_graph, graph_from_edges
 from ramseykit.hypergraphs import (
+    GirthVerdict,
     UniformHypergraph,
     ap_count_formula,
     arithmetic_progressions,
@@ -129,7 +131,7 @@ class TestDegreeStats:
             degree_stats(hg)
 
 
-def subset_span_oracle(hg: UniformHypergraph, g: int):
+def subset_span_oracle(hg: UniformHypergraph, g: int) -> GirthVerdict:
     """Independent check: scan every subset of 2..g-1 edges for low span."""
     for size in range(2, g):
         for idxs in combinations(range(hg.num_edges), size):
@@ -137,8 +139,36 @@ def subset_span_oracle(hg: UniformHypergraph, g: int):
             for i in idxs:
                 span.update(hg.edges[i])
             if len(span) <= (hg.h - 1) * size:
-                return False, idxs
-    return True, None
+                return GirthVerdict(g, False, idxs, len(span))
+    return GirthVerdict(g, True)
+
+
+@st.composite
+def small_hypergraphs(draw, max_vertices=10) -> UniformHypergraph:
+    """Uniformity 2-4, at most `max_vertices` vertices and 9 edges, in three
+    shapes: free, duplicate-heavy (repeated edges kept, drawn from a small
+    pool) and disconnected (two blocks on disjoint vertex ranges)."""
+    h = draw(st.integers(2, 4))
+    nv = draw(st.integers(h, max_vertices))
+    shape = draw(st.sampled_from(["free", "duplicates", "disconnected"]))
+
+    def edges_on(vertices, count):
+        return draw(st.lists(st.lists(st.sampled_from(vertices), min_size=h,
+                                      max_size=h, unique=True),
+                             max_size=count))
+
+    if shape == "duplicates":
+        pool = [tuple(sorted(e)) for e in edges_on(range(nv), 3)]
+        if not pool:
+            return UniformHypergraph(h, tuple(range(nv)), ())
+        edges = draw(st.lists(st.sampled_from(pool), max_size=9))
+        return UniformHypergraph(h, tuple(range(nv)), tuple(sorted(edges)))
+    if shape == "disconnected" and nv >= 2 * h:
+        cut = draw(st.integers(h, nv - h))
+        edges = edges_on(range(cut), 4) + edges_on(range(cut, nv), 5)
+    else:
+        edges = edges_on(range(nv), 9)
+    return hypergraph_from_edges(h, range(nv), edges)
 
 
 class TestSparsityGirth:
@@ -175,6 +205,32 @@ class TestSparsityGirth:
             [(0, 1, 2), (0, 1, 3), (5, 6, 7), (5, 6, 8)])
         verdict = sparsity_girth(hg, 4)
         assert verdict.witness_edges == (0, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_hypergraphs(), st.integers(2, 6))
+    def test_equals_subset_oracle(self, hg, g):
+        # verdict, witness tuple and span, exactly
+        assert sparsity_girth(hg, g) == subset_span_oracle(hg, g)
+
+    def test_lex_least_under_the_root(self):
+        # root 0 holds two loose 4-cycles; the connected-set search meets
+        # (0, 1, 3, 5) before the lex-smaller (0, 1, 2, 4)
+        hg = hypergraph_from_edges(4, range(106), [
+            (0, 10, 11, 100), (1, 10, 12, 13), (2, 13, 14, 102),
+            (3, 11, 15, 103), (4, 11, 14, 104), (5, 12, 15, 105)])
+        for idxs in [(0, 1, 2, 4), (0, 1, 3, 5)]:
+            span = set().union(*(hg.edges[i] for i in idxs))
+            assert len(span) == 12  # both violate at size 4
+        verdict = sparsity_girth(hg, 5)
+        assert verdict == subset_span_oracle(hg, 5)
+        assert verdict.witness_edges == (0, 1, 2, 4)
+        assert sparsity_girth(hg, 4).satisfied
+
+    def test_dense_ap_system_witness(self):
+        hg = system_of_copies("ap", 400, 3)
+        verdict = sparsity_girth(hg, 4)
+        assert verdict.witness_edges == (0, 1)
+        assert verdict.witness_span == 4
 
     def test_witness_validates(self):
         rng = random.Random(11)
@@ -266,7 +322,7 @@ class TestShortCycles:
         for _ in range(300):
             hg = random_hypergraph(rng)
             for g in (3, 4, 5):
-                ok, _ = subset_span_oracle(hg, g)
+                ok = subset_span_oracle(hg, g).satisfied
                 verdict = sparsity_girth(hg, g)
                 assert verdict.satisfied == ok
                 empty = enumerate_short_cycles(hg, g).total == 0
@@ -294,6 +350,60 @@ class TestShortCycles:
             long_cycles = [c for c in report.cycles if c[0] >= 4]
             relaxed = relaxed_long_cycles(hg, 6)
             assert sorted(long_cycles) == sorted(relaxed)
+
+
+def is_definition_cycle(sets: list[set[int]], seq: tuple[int, ...]) -> bool:
+    """Consecutive edges (cyclically) meet in exactly one vertex, the others
+    are disjoint, and the meeting points are distinct."""
+    j = len(seq)
+    points = set()
+    for a, b in combinations(range(j), 2):
+        meet = sets[seq[a]] & sets[seq[b]]
+        if b - a in (1, j - 1):
+            if len(meet) != 1:
+                return False
+            points |= meet
+        elif meet:
+            return False
+    return len(points) == j
+
+
+def definition_cycles(hg: UniformHypergraph, g: int):
+    """Every cycle of length < g straight from the module docstring's
+    definition, canonicalised: least edge first, second entry < last."""
+    sets = [set(e) for e in hg.edges]
+    found = [(2, pair) for pair in combinations(range(hg.num_edges), 2)
+             if g > 2 and len(sets[pair[0]] & sets[pair[1]]) >= 2]
+    for j in range(3, g):
+        for seq in permutations(range(hg.num_edges), j):
+            if seq[0] == min(seq) and seq[1] < seq[-1] \
+                    and is_definition_cycle(sets, seq):
+                found.append((j, seq))
+    return sorted(found)
+
+
+class TestCensusDefinition:
+    @settings(max_examples=200, deadline=None)
+    @given(small_hypergraphs(max_vertices=7), st.integers(2, 6))
+    def test_census_equals_definition(self, hg, g):
+        # the brute force tries every edge sequence, so keep 7 edges
+        hg = UniformHypergraph(hg.h, hg.universe, hg.edges[:7])
+        report = enumerate_short_cycles(hg, g)
+        expected = definition_cycles(hg, g)
+        assert list(report.cycles) == expected
+        assert report.counts == {
+            j: sum(1 for length, _ in expected if length == j)
+            for j in range(2, max(g, 2))}
+
+    def test_dense_family_equals_definition(self):
+        # 7 edges on at most 7 vertices: long cycles, chords and shared
+        # points are common here
+        rng = random.Random(43)
+        for _ in range(400):
+            hg = random_hypergraph(rng, max_vertices=7, max_edges=7,
+                                   h=rng.choice([2, 3]))
+            assert list(enumerate_short_cycles(hg, 6).cycles) == \
+                definition_cycles(hg, 6)
 
 
 def relaxed_long_cycles(hg, g):
