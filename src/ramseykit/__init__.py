@@ -15,7 +15,6 @@ from .colouring import (
     PROPER,
     UNCOLOURABLE,
     ArrowsResult,
-    BudgetTracker,
     Colouring,
     SearchResult,
     arrows,

@@ -21,8 +21,8 @@ from .colouring import (
     ARROWS,
     BUDGET_EXCEEDED,
     PROPER,
-    BudgetTracker,
     Colouring,
+    SearchBudget,
     arrows,
     colouring_search,
 )
@@ -49,7 +49,6 @@ from .sampling import rejection_sample_girth, sample_gnp, sample_subset
 from .search import (
     EXACT,
     FactViolationError,
-    SearchBudget,
     fact_vdw_check,
     ramsey_decide,
     ramsey_number,
@@ -124,11 +123,10 @@ def _budget(ns) -> SearchBudget:
 
 def _budget_needs(ns, searching: bool, flag: str) -> SearchBudget:
     """The budget flags, rejected when the search they bound is not run."""
-    budget = _budget(ns)
-    if not searching and budget != SearchBudget():
+    if not searching and (ns.budget_nodes, ns.budget_secs) != (None, None):
         raise InputError(f"a search budget bounds only the search of "
                          f"{flag}; add it or drop the budget")
-    return budget
+    return _budget(ns)
 
 
 def _copy_source(ns):
@@ -417,7 +415,7 @@ def cmd_cycles(ns) -> int:
 
 def cmd_colour(ns) -> int:
     hg, src = _load_system(ns)
-    res = colouring_search(hg, ns.r, BudgetTracker(_budget(ns)))
+    res = colouring_search(hg, ns.r, _budget(ns))
     result = {"status": res.status, "nodes": res.nodes,
               "witness": res.colouring if res.status == PROPER else None}
     emit(ns, "colour", {**src, "r": ns.r},
@@ -433,7 +431,7 @@ def cmd_arrows(ns) -> int:
         raise InputError("arrows needs a base object (--ap or --base), "
                          "not a prebuilt hypergraph; use `colour` for those")
     kind, base, src = _copy_source(ns)
-    res = arrows(base, kind, ns.k, ns.r, BudgetTracker(_budget(ns)))
+    res = arrows(base, kind, ns.k, ns.r, _budget(ns))
     emit(ns, "arrows", {**src, "kind": kind, "r": ns.r},
          {"status": res.status, "nodes": res.nodes, "witness": res.witness},
          "arrowing verdict via exhaustive colouring search on the system "
@@ -484,8 +482,7 @@ def cmd_vdw(ns) -> int:
 
 
 def cmd_extremal(ns) -> int:
-    res = extremal_ex(ns.n, set(range(3, ns.m + 1)),
-                      BudgetTracker(_budget(ns)))
+    res = extremal_ex(ns.n, set(range(3, ns.m + 1)), _budget(ns))
     if ns.witness_out:
         write_graph(res.witness, ns.witness_out)
     emit(ns, "extremal", {"n": ns.n, "forbidden": f"3..{ns.m}"},
@@ -544,9 +541,8 @@ def cmd_fact7(ns) -> int:
     ex_low, ex_high = ns.ex_low, ns.ex_high
     status = "supplied"
     if ns.search:
-        tracker = BudgetTracker(budget)  # shared by both searches
-        low = extremal_ex(ns.n, set(range(3, 2 * ns.k)), tracker)
-        high = extremal_ex(ns.n, set(range(3, 2 * ns.k + 1)), tracker)
+        low = extremal_ex(ns.n, set(range(3, 2 * ns.k)), budget)
+        high = extremal_ex(ns.n, set(range(3, 2 * ns.k + 1)), budget)
         ex_low, ex_high = low.max_edges, high.max_edges
         status = "searched" if low.status == EXACT and high.status == EXACT \
             else "searched-lower-bound"
@@ -606,9 +602,24 @@ def cmd_trials(ns) -> int:
                  {"records": count, "out": ns.out},
                  "seeded experiment batch", [])
         return EXIT_OK
-    count = write_records(run_trials(config), sys.stdout,
-                          include_timings=ns.timings)
+    write_records(run_trials(config), sys.stdout, include_timings=ns.timings)
     return EXIT_OK
+
+
+def _record_config(path, line_no: int, line: str) -> TrialConfig:
+    """The trial configuration a record line echoes."""
+    try:
+        echo = json.loads(line)["config"]
+        return TrialConfig(
+            theorem=echo["theorem"], n=echo["n"], k=echo["k"], r=echo["r"],
+            g=echo["g"], p=echo["p_explicit"], scale_c=echo["scale_c"],
+            seed=echo["seed"], trials=echo["trials"],
+            deletion_cap=echo["deletion_cap"],
+            search_budget=echo["search_budget"])
+    except KeyError as exc:
+        raise FormatError(path, line_no, f"record has no {exc} field") from exc
+    except (ValueError, TypeError) as exc:  # not JSON, or wrong value types
+        raise FormatError(path, line_no, f"malformed record: {exc}") from exc
 
 
 def cmd_verify(ns) -> int:
@@ -626,21 +637,15 @@ def cmd_verify(ns) -> int:
              [f"  parses, canonical={canonical}"])
         return EXIT_OK if canonical else EXIT_ERROR
     with open(ns.records, encoding="ascii") as fh:
-        lines = [ln for ln in fh if ln.strip()]
-    if not lines:
+        numbered = [(i, ln) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    if not numbered:
         raise InputError(f"{ns.records} holds no records")
-    first = json.loads(lines[0])
-    echo = first["config"]
-    config = TrialConfig(
-        theorem=echo["theorem"], n=echo["n"], k=echo["k"], r=echo["r"],
-        g=echo["g"], p=echo["p_explicit"], scale_c=echo["scale_c"],
-        seed=echo["seed"], trials=echo["trials"],
-        deletion_cap=echo["deletion_cap"],
-        search_budget=echo["search_budget"])
+    config = _record_config(ns.records, *numbered[0])
+    lines = [ln for _, ln in numbered]
     regenerated = [r.to_line() + "\n" for r in run_trials(config)]
     identical = regenerated == lines
-    emit(ns, "verify", {"records": ns.records, "trials": echo["trials"],
-                        "seed": echo["seed"]},
+    emit(ns, "verify", {"records": ns.records, "trials": config.trials,
+                        "seed": config.seed},
          {"identical": identical, "records": len(lines)},
          "record stream re-run under the embedded configuration",
          [f"  identical={identical} over {len(lines)} lines"])
@@ -688,13 +693,13 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
-    if argv and argv[0] in HANDLERS:
-        argv = _apply_config_file(argv)
-    ns = parser.parse_args(argv)
-    if ns.command is None:
-        parser.print_help()
-        return EXIT_ERROR
     try:
+        if argv and argv[0] in HANDLERS:
+            argv = _apply_config_file(argv)
+        ns = parser.parse_args(argv)
+        if ns.command is None:
+            parser.print_help()
+            return EXIT_ERROR
         return HANDLERS[ns.command](ns)
     except FactViolationError as exc:
         print(f"fact violation: {exc}", file=sys.stderr)

@@ -3,7 +3,9 @@
 A colouring is proper when no hyperedge is monochromatic.  The search is
 exhaustive backtracking with colour-class canonicalisation (a vertex may
 open colour c+1 only if colours 1..c are already in use), so "uncolourable"
-is a proof by exhaustion.  No automorphism pruning is attempted.
+is a proof by exhaustion.  No automorphism pruning is attempted.  Every
+exhaustive search of the toolkit draws on a started `SearchBudget`; searches
+handed the same budget object share it.
 """
 
 from __future__ import annotations
@@ -54,25 +56,30 @@ def verify_colouring(hg: UniformHypergraph, col: Colouring) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+CHECK_EVERY = 1024  # nodes between two readings of a budget's clock
+
+
 class SearchBudget:
-    node_limit: int | None = None
-    wall_secs: float | None = None
+    """`node_limit` nodes and `wall_secs` seconds from construction, None
+    for no limit; each search handed the budget is charged what it spent."""
 
+    def __init__(self, node_limit: int | None = None,
+                 wall_secs: float | None = None):
+        self.remaining = node_limit
+        self.deadline = (time.monotonic() + wall_secs
+                         if wall_secs is not None else None)
 
-class BudgetTracker:
-    """A started budget, shared and charged by the searches of one sweep."""
+    def exhausted(self, nodes: int = 0) -> bool:
+        """Must a search that has spent `nodes` nodes of this budget stop?
 
-    def __init__(self, budget: SearchBudget | None):
-        budget = budget or SearchBudget()
-        self.remaining = budget.node_limit
-        self.deadline = (time.monotonic() + budget.wall_secs
-                         if budget.wall_secs is not None else None)
-
-    def exhausted(self) -> bool:
-        if self.remaining is not None and self.remaining <= 0:
+        The node limit is exact.  The clock is read only when `nodes` is a
+        multiple of CHECK_EVERY, at 0 too, so a budget already out of time
+        stops a search before its first node.
+        """
+        if self.remaining is not None and nodes >= self.remaining:
             return True
-        return self.deadline is not None and time.monotonic() > self.deadline
+        return (self.deadline is not None and nodes % CHECK_EVERY == 0
+                and time.monotonic() > self.deadline)
 
     def charge(self, nodes: int):
         if self.remaining is not None:
@@ -87,15 +94,13 @@ class SearchResult:
 
 
 def colouring_search(hg: UniformHypergraph, r: int,
-                     budget: BudgetTracker | None = None) -> SearchResult:
+                     budget: SearchBudget | None = None) -> SearchResult:
     """Find a proper r-colouring or prove none exists.
 
     Deterministic: vertices are branched in universe order, colours tried
-    ascending.  `budget` is a started budget, possibly shared with earlier
-    searches: the search stops when its remaining assignment attempts are
-    spent or, checked every 1024 attempts, its deadline has passed, and
-    either yields BUDGET_EXCEEDED, never a wrong verdict.  The attempts made
-    are charged to it.
+    ascending.  Each assignment attempt is a node.  The search stops when
+    `budget` is exhausted, which yields BUDGET_EXCEEDED, never a wrong
+    verdict; the attempts made are charged to it.
     """
     if r < 1:
         raise InputError(f"need at least one colour, got {r}")
@@ -104,8 +109,7 @@ def colouring_search(hg: UniformHypergraph, r: int,
     if nv == 0:
         return SearchResult(PROPER, Colouring({}, r), 0)
     edges_of = [hg.incidence[v] for v in order]
-    budget = budget or BudgetTracker(None)
-    limit, deadline = budget.remaining, budget.deadline
+    budget = budget or SearchBudget()
 
     uncol = [len(e) for e in hg.edges]
     state = [0] * len(hg.edges)  # 0 none yet, -1 mixed, c>0 uniform colour c
@@ -139,7 +143,6 @@ def colouring_search(hg: UniformHypergraph, r: int,
     # frame: [next colour to try, max colour used before this position,
     #         (processed, trail) of the currently applied assignment or None]
     stack: list[list] = [[1, 0, None]]
-    check_every = 1024
     status, colouring = UNCOLOURABLE, None
     while stack:
         frame = stack[-1]
@@ -152,14 +155,10 @@ def colouring_search(hg: UniformHypergraph, r: int,
             stack.pop()
             continue
         frame[0] = c + 1
-        if limit is not None and nodes >= limit:
+        if budget.exhausted(nodes):
             status = BUDGET_EXCEEDED
             break
         nodes += 1
-        if deadline is not None and nodes % check_every == 0 \
-                and time.monotonic() > deadline:
-            status = BUDGET_EXCEEDED
-            break
         ok, processed, trail = assign(pos, c)
         if not ok:
             undo(pos, processed, trail)
@@ -183,16 +182,13 @@ class ArrowsResult:
 
 
 def arrows(base: Graph | int, kind: str, k: int, r: int,
-           budget: BudgetTracker | None = None) -> ArrowsResult:
+           budget: SearchBudget | None = None) -> ArrowsResult:
     """Does every r-colouring of the base's copies-universe hit a copy?
 
     Builds the system of copies and decides whether it is r-colourable;
     "arrows" corresponds to an exhaustive uncolourability proof, and the
-    not-arrows witness is a proper colouring of the universe.  An exhausted
-    budget answers BUDGET_EXCEEDED with no node spent.
+    not-arrows witness is a proper colouring of the universe.
     """
-    if budget is not None and budget.exhausted():
-        return ArrowsResult(BUDGET_EXCEEDED, None, 0)
     res = colouring_search(system_of_copies(kind, base, k), r, budget)
     if res.status == UNCOLOURABLE:
         return ArrowsResult(ARROWS, None, res.nodes)

@@ -6,7 +6,9 @@ enough that no forbidden cycle closes; subtrees that cannot beat the
 incumbent are cut; and only graphs whose final degree sequence is
 non-increasing along the vertex order are explored (every graph has such a
 relabelling, so the maximum is preserved while isomorphic duplicates are
-skipped).  Correctness over speed: no automorphism machinery.
+skipped).  Correctness over speed: no automorphism machinery.  The search
+draws on a started `SearchBudget`, which callers may share with other
+searches.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .colouring import SearchBudget
 from .graphs import Graph, InputError
-from .search import EXACT, LOWER_BOUND_ONLY, BudgetTracker
+from .search import EXACT, LOWER_BOUND_ONLY
 
 
 @dataclass(frozen=True)
@@ -48,16 +51,15 @@ def _bfs_distance_at_least(adj: list[list[int]], u: int, v: int,
     return True
 
 
-def extremal_ex(n: int, forbidden, budget: BudgetTracker | None = None
+def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
                 ) -> ExtremalResult:
     """Exact max edge count of an n-vertex graph with no cycle of a
     forbidden length, together with a witness.
 
     `forbidden` must be the contiguous range {3, ..., m}; the search then
-    looks for the densest graph of girth at least m+1.  `budget` is a
-    started budget, possibly shared with other searches, and is charged the
-    nodes spent.  Budget exhaustion returns the best graph found so far,
-    marked lower-bound-only.
+    looks for the densest graph of girth at least m+1.  `budget` is charged
+    the nodes spent; once it is exhausted the search returns the best graph
+    found so far, marked lower-bound-only.
     """
     forb = sorted(set(forbidden))
     if not forb or forb != list(range(3, forb[-1] + 1)):
@@ -68,8 +70,7 @@ def extremal_ex(n: int, forbidden, budget: BudgetTracker | None = None
     slots = list(combinations(range(n), 2))
     total = len(slots)
 
-    tracker = budget or BudgetTracker(None)
-    node_limit = tracker.remaining
+    budget = budget or SearchBudget()
     adj: list[list[int]] = [[] for _ in range(n)]
     degree = [0] * n
     chosen: list[tuple[int, int]] = []
@@ -80,12 +81,7 @@ def extremal_ex(n: int, forbidden, budget: BudgetTracker | None = None
 
     def search(idx: int):
         nonlocal best_edges, best_graph, nodes, ran_out
-        if ran_out:
-            return
-        if node_limit is not None and nodes >= node_limit:
-            ran_out = True
-            return
-        if nodes % 4096 == 0 and tracker.exhausted():
+        if ran_out or budget.exhausted(nodes):
             ran_out = True
             return
         nodes += 1
@@ -118,7 +114,7 @@ def extremal_ex(n: int, forbidden, budget: BudgetTracker | None = None
         search(idx + 1)
 
     search(0)
-    tracker.charge(nodes)
+    budget.charge(nodes)
     status = LOWER_BOUND_ONLY if ran_out else EXACT
     return ExtremalResult(status, best_edges, Graph(n, tuple(sorted(best_graph))),
                           nodes)

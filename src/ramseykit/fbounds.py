@@ -7,7 +7,8 @@ still arrows after completing to a clique on its vertex set, so its order
 is at least R(C_k; r)).  The upper bound is the random-construction size
 k^(15k^3) * R^(10k^2), reported in log space.  For k in {6, 8, 12} the
 known generalized-polygon constructions pin polynomial orders r^6, r^12,
-r^30, reported as asymptotic exponents without constants.
+r^30, reported as asymptotic exponents without constants.  The Ramsey
+search, when asked for, draws on the caller's started `SearchBudget`.
 """
 
 from __future__ import annotations

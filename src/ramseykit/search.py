@@ -3,7 +3,8 @@
 Verdicts are exact within budget: "arrows" always rests on an exhaustive
 uncolourability proof, budget exhaustion is reported as such and never
 silently converted into a verdict.  Number sweeps ascend so every failing
-size produces a verified witness colouring along the way.
+size produces a verified witness colouring along the way, and a sweep draws
+every size it decides from the one `SearchBudget` it is handed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .colouring import (
     BUDGET_EXCEEDED,
     NOT_ARROWS,
     ArrowsResult,
-    BudgetTracker,
     Colouring,
     SearchBudget,
     arrows,
@@ -40,7 +40,7 @@ def ramsey_decide(kind: str, k: int, r: int, n: int,
         return ArrowsResult(NOT_ARROWS, Colouring({}, r), 0)
     if n < k:
         raise InputError(f"hosting {k}-vertex patterns needs n >= {k}")
-    return arrows(complete_graph(n), kind, k, r, BudgetTracker(budget))
+    return arrows(complete_graph(n), kind, k, r, budget)
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,10 @@ def _least_arrowing(base_of: Callable[[int], Graph | int], kind: str, k: int,
                     r: int, budget: SearchBudget | None) -> NumberResult:
     """Decide n = k, k+1, ... on one shared budget until base_of(n) arrows
     the pattern; a size the budget cannot settle leaves a lower bound."""
-    tracker = BudgetTracker(budget)
     nodes = 0
     n = k
     while True:
-        res = arrows(base_of(n), kind, k, r, tracker)
+        res = arrows(base_of(n), kind, k, r, budget)
         nodes += res.nodes
         if res.status == ARROWS:
             return NumberResult(EXACT, n, n - 1, nodes)
@@ -85,7 +84,7 @@ def vdw_decide(n: int, k: int, r: int,
     """Does every r-colouring of {1..n} contain a monochromatic k-term AP?"""
     if n < 1:
         raise InputError(f"interval length must be positive, got {n}")
-    return arrows(n, "ap", k, r, BudgetTracker(budget))
+    return arrows(n, "ap", k, r, budget)
 
 
 def vdw_number(k: int, r: int,

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterator, TextIO
 
 from . import __version__
-from .colouring import BudgetTracker, SearchBudget, colouring_search
+from .colouring import SearchBudget, colouring_search
 from .graphs import InputError, count_graph_cycles
 from .hypergraphs import UniformHypergraph, system_of_copies
 from .sampling import (
@@ -180,8 +180,7 @@ def _run_one_trial(config: TrialConfig, index: int) -> ExperimentRecord:
         if config.search_budget:
             hg = system_of_copies("cycle", graph, config.k)
             search_status = colouring_search(
-                hg, config.r,
-                BudgetTracker(SearchBudget(config.search_budget))).status
+                hg, config.r, SearchBudget(config.search_budget)).status
         return ExperimentRecord(
             **base, sample_size=graph.num_edges, cycle_counts=counts,
             girth_ok=girth_ok, search_status=search_status,
@@ -207,7 +206,7 @@ def _run_one_trial(config: TrialConfig, index: int) -> ExperimentRecord:
         if config.search_budget:
             search_status = colouring_search(
                 deletion.survivor, config.r,
-                BudgetTracker(SearchBudget(config.search_budget))).status
+                SearchBudget(config.search_budget)).status
     return ExperimentRecord(
         **base, sample_size=sample_size, system_edges=hg.num_edges,
         cycle_counts=counts, deletion_status=deletion.status,

@@ -327,6 +327,19 @@ class TestCli:
                                      "-n", "8")
         assert blob2["result"]["status"] == "not-arrows"
 
+    def test_missing_config_file_exits_1(self, capsys, tmp_path):
+        missing = tmp_path / "absent.conf"
+        assert dispatch(["vdw", "--config", str(missing)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.conf" in err
+
+    def test_malformed_config_file_exits_1(self, capsys, tmp_path):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("k=3\nno equals sign\n")
+        assert dispatch(["vdw", "--config", str(conf)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {conf}:2: expected key=value\n")
+
 
 class TestEnvelopes:
     def test_every_command_envelope_validates(self, capsys, tmp_path):
@@ -399,6 +412,31 @@ class TestTrialsCli:
         blob = json.loads(capsys.readouterr().out)
         assert code == EXIT_ERROR
         assert blob["result"]["identical"] is False
+
+    def verify_first_line(self, capsys, tmp_path, first: str) -> str:
+        out = tmp_path / "r.jsonl"
+        dispatch(self.args(out))
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        out.write_text("\n".join(["", first] + lines[1:]) + "\n")
+        assert dispatch(["verify", "--records", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err.removeprefix(f"error: {out}:2: ")
+
+    def test_verify_rejects_a_non_json_record(self, capsys, tmp_path):
+        err = self.verify_first_line(capsys, tmp_path, "{not json")
+        assert err.startswith("malformed record: Expecting property name")
+
+    def test_verify_rejects_a_record_without_config(self, capsys, tmp_path):
+        err = self.verify_first_line(capsys, tmp_path, '{"type": "trial"}')
+        assert err == "record has no 'config' field\n"
+
+    def test_verify_rejects_a_config_without_an_echo_key(self, capsys,
+                                                         tmp_path):
+        first = json.dumps({"config": {"theorem": "ap", "k": 3}})
+        err = self.verify_first_line(capsys, tmp_path, first)
+        assert err == "record has no 'n' field\n"
 
     def test_verify_graph_file(self, capsys, tmp_path):
         path = tmp_path / "p.graph"

@@ -9,7 +9,6 @@ from ramseykit.colouring import (
     NOT_ARROWS,
     PROPER,
     UNCOLOURABLE,
-    BudgetTracker,
     Colouring,
     SearchBudget,
     arrows,
@@ -83,7 +82,7 @@ class TestSearch:
 
     def test_budget_never_misreports(self):
         hg = system_of_copies("ap", 9, 3)
-        budget = BudgetTracker(SearchBudget(node_limit=3))
+        budget = SearchBudget(node_limit=3)
         res = colouring_search(hg, 2, budget)
         assert res.status == BUDGET_EXCEEDED
         assert res.nodes <= 3

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramseykit.colouring import ARROWS, BUDGET_EXCEEDED, NOT_ARROWS, BudgetTracker, Colouring, verify_colouring
+from ramseykit.colouring import ARROWS, BUDGET_EXCEEDED, NOT_ARROWS, Colouring, verify_colouring
 from ramseykit.extremal import ExtremalResult, extremal_ex, fact7_premise
 from ramseykit.fbounds import f_bound_report, moore_lower_bound
 from ramseykit.graphs import InputError, complete_graph, graph_girth
@@ -169,34 +169,32 @@ class TestExtremal:
         assert res.max_edges == len(res.witness.edges)
 
     def test_budget_lower_bound(self):
-        res = extremal_ex(8, {3}, BudgetTracker(SearchBudget(node_limit=5_000)))
+        res = extremal_ex(8, {3}, SearchBudget(node_limit=5_000))
         assert res.status in (EXACT, LOWER_BOUND_ONLY)
         assert res.max_edges <= 16
         assert graph_girth(res.witness) > 3
 
     def test_node_budget_stops_the_search(self):
         # the unbudgeted search needs over 300,000 nodes here
-        res = extremal_ex(8, {3, 4},
-                          BudgetTracker(SearchBudget(node_limit=1000)))
+        res = extremal_ex(8, {3, 4}, SearchBudget(node_limit=1000))
         assert res.status == LOWER_BOUND_ONLY
         assert res.nodes <= 1000
         assert graph_girth(res.witness) > 4
         assert res.max_edges == len(res.witness.edges)
         # out of budget before the first leaf: the empty graph stands
-        res = extremal_ex(8, {3, 4},
-                          BudgetTracker(SearchBudget(node_limit=5)))
+        res = extremal_ex(8, {3, 4}, SearchBudget(node_limit=5))
         assert res.status == LOWER_BOUND_ONLY
         assert res.max_edges == len(res.witness.edges) == 0
 
     def test_shared_budget_is_charged(self):
-        budget = BudgetTracker(SearchBudget(node_limit=100_000))
+        budget = SearchBudget(node_limit=100_000)
         res = extremal_ex(6, {3}, budget)
         assert res.status == EXACT
         assert budget.remaining == 100_000 - res.nodes
         # a budget already spent, in nodes or in time, answers at once
         for spent in (SearchBudget(node_limit=0),
                       SearchBudget(wall_secs=-1.0)):
-            res = extremal_ex(8, {3, 4}, BudgetTracker(spent))
+            res = extremal_ex(8, {3, 4}, spent)
             assert res.status == LOWER_BOUND_ONLY
             assert res.nodes == 0
             assert res.max_edges == 0 and res.witness.edges == ()
@@ -206,6 +204,37 @@ class TestExtremal:
             extremal_ex(5, {4})
         with pytest.raises(InputError):
             extremal_ex(5, {3, 5})
+
+
+class TestSharedBudget:
+    def test_every_search_charges_one_budget(self):
+        budget = SearchBudget(node_limit=1_000_000)
+        decided = ramsey_decide("clique", 3, 2, 6, budget)
+        swept = vdw_number(3, 2, budget)
+        ex = extremal_ex(6, {3}, budget)
+        report = f_bound_report(4, 2, search_budget=budget)
+        assert (decided.status, swept.value, ex.max_edges,
+                report.ramsey_number) == (ARROWS, 9, 9, 6)
+        # the report does not count nodes; its sweep alone does
+        report_nodes = ramsey_number("cycle", 4, 2).nodes
+        spent = [decided.nodes, swept.nodes, ex.nodes, report_nodes]
+        assert min(spent) > 0
+        assert budget.remaining == 1_000_000 - sum(spent)
+
+    def test_a_budget_one_search_exhausts_stops_the_next(self):
+        budget = SearchBudget(node_limit=500)
+        first = ramsey_number("clique", 3, 2, budget)  # needs 1076 nodes
+        assert first.status == LOWER_BOUND_ONLY
+        assert first.nodes == 500 and budget.remaining == 0
+        decided = ramsey_decide("clique", 3, 2, 6, budget)
+        assert (decided.status, decided.nodes) == (BUDGET_EXCEEDED, 0)
+        swept = vdw_number(3, 2, budget)
+        assert (swept.status, swept.nodes) == (LOWER_BOUND_ONLY, 0)
+        ex = extremal_ex(6, {3}, budget)
+        assert (ex.status, ex.nodes) == (LOWER_BOUND_ONLY, 0)
+        report = f_bound_report(4, 2, search_budget=budget)
+        assert report.ramsey_number is None
+        assert budget.remaining == 0
 
 
 class TestFact7:

@@ -160,6 +160,20 @@ class TestDeletion:
             assert res.status == DELETION_OK
             assert sparsity_girth(res.survivor, 4).satisfied
 
+    def test_census_fault_falls_back_to_sparsity_witnesses(self, monkeypatch):
+        hg = hypergraph_from_edges(
+            3, range(1, 11),
+            [(1, 2, 3), (1, 2, 4), (5, 6, 7), (5, 6, 8)])
+        assert enumerate_short_cycles(hg, 3).total == 2
+        monkeypatch.setattr(sampling, "enumerate_short_cycles",
+                            lambda hg, g: hypergraphs.CycleReport(g, (), {}))
+        with pytest.warns(RuntimeWarning, match="sparsity violation"):
+            res = delete_short_cycles(hg, 3, 10)
+        assert res.status == DELETION_OK
+        assert res.census.total == 0
+        assert len(res.removed) == 2
+        assert sparsity_girth(res.survivor, 3).satisfied
+
 
 class TestApSubsetSystem:
     def test_full_subset_matches_formula(self):
