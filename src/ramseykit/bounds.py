@@ -220,13 +220,8 @@ def union_bound_sum(n_positions: Real, r: int, s: int, tau_k_product: Real,
         raise InputError("dominance condition fails: r*s*tauK*N exceeds "
                          "2^(rs)*p*N, the unimodal-tail bound is invalid")
 
-    def evaluate():
-        base = LogNum.exp_of(1) * n_l * (LogNum.from_int(2) ** rs) * p_l / big_m
-        result = (big_m + 1) * base ** big_m
-        return True, result
-
-    _, result = _stable_verdict(evaluate)
-    return result
+    base = LogNum.exp_of(1) * n_l * (LogNum.from_int(2) ** rs) * p_l / big_m
+    return (big_m + 1) * base ** big_m
 
 
 def chernoff_tail(mu: Real, t: Real) -> LogNum:

@@ -3,7 +3,9 @@
 Every run echoes its fully resolved configuration (seed and tool version
 included) so outputs are self-describing.  Exit codes separate certainty
 from resource limits: 0 for definitive verdicts, 2 when a budget ran out,
-1 for input errors.
+1 for input errors.  Handlers pass their result objects to `emit`, which
+alone knows the envelope encoding and gives a result whose status is
+budget-exceeded or lower-bound-only exit code 2.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import argparse
 import json
 import secrets
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -20,7 +23,6 @@ from .bounds import container_condition, cycle_system_analytic_degrees
 from .colouring import (
     ARROWS,
     BUDGET_EXCEEDED,
-    PROPER,
     Colouring,
     SearchBudget,
     arrows,
@@ -41,13 +43,15 @@ from .io import (
     read_config_file,
     read_graph,
     read_hypergraph,
+    read_lines,
     write_graph,
 )
 from .lognum import LogNum
-from .params import derive_params
+from .params import THEOREMS, derive_params
 from .sampling import rejection_sample_girth, sample_gnp, sample_subset
 from .search import (
     EXACT,
+    LOWER_BOUND_ONLY,
     FactViolationError,
     fact_vdw_check,
     ramsey_decide,
@@ -70,26 +74,30 @@ class Parser(argparse.ArgumentParser):
 
 
 def _jsonable(value):
+    """The envelope encoding of a value: the one place that knows it."""
     if isinstance(value, LogNum):
         return value.to_json()
-    if isinstance(value, Graph):
+    if isinstance(value, Graph):  # its `_index` cache stays out
         return {"n": value.n, "edges": [list(e) for e in value.edges]}
-    if isinstance(value, Colouring):
-        return {"num_colours": value.num_colours,
-                "colours": {str(v): c for v, c in sorted(value.colours.items())}}
+    if isinstance(value, Fraction):
+        return {"num": str(value.numerator), "den": str(value.denominator)}
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name))
+                for f in fields(value)}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, float) and value != value:  # NaN guard
         return None
-    if hasattr(value, "to_json"):
-        return value.to_json()
     return value
 
 
 def emit(ns, command: str, config: dict, result, provenance: str,
-         text_lines: list[str]) -> None:
+         text_lines: list[str]) -> int:
+    """Print the result as an envelope or as text; return the exit code,
+    2 when the result's status says a budget ran out, else 0."""
+    result = _jsonable(result)
     if getattr(ns, "json", False):
         envelope = {
             "tool": "ramseykit",
@@ -97,17 +105,19 @@ def emit(ns, command: str, config: dict, result, provenance: str,
             "command": command,
             "provenance": provenance,
             "config": _jsonable(config),
-            "result": _jsonable(result),
+            "result": result,
         }
         print(json.dumps(envelope, sort_keys=True))
-        return
-    print(f"ramseykit {__version__} — {command}")
-    print(f"computed: {provenance}")
-    if config:
-        pairs = " ".join(f"{k}={v}" for k, v in config.items())
-        print(f"config: {pairs}")
-    for line in text_lines:
-        print(line)
+    else:
+        print(f"ramseykit {__version__} — {command}")
+        print(f"computed: {provenance}")
+        if config:
+            pairs = " ".join(f"{k}={v}" for k, v in config.items())
+            print(f"config: {pairs}")
+        for line in text_lines:
+            print(line)
+    ran_out = result.get("status") in (BUDGET_EXCEEDED, LOWER_BOUND_ONLY)
+    return EXIT_BUDGET if ran_out else EXIT_OK
 
 
 def _need_seed(ns) -> int:
@@ -180,8 +190,7 @@ def build_parser() -> Parser:
         return p
 
     p = add("params", help="derive the constant chain for one theorem")
-    p.add_argument("--theorem", required=True,
-                   choices=("cycles", "ap", "cliques"))
+    p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-g", type=int, help="girth target (ap/cliques)")
@@ -271,8 +280,7 @@ def build_parser() -> Parser:
                    help="search the cycle Ramsey number first")
 
     p = add("trials", help="seeded experiment batch emitting JSONL records")
-    p.add_argument("--theorem", required=True,
-                   choices=("cycles", "ap", "cliques"))
+    p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-r", type=int, default=2)
@@ -305,9 +313,8 @@ def cmd_params(ns) -> int:
     if base is None:
         raise InputError("supply -R (cycles/cliques) or -W (ap)")
     ps = derive_params(ns.theorem, ns.k, ns.r, ns.g, base)
-    blob = ps.to_json()
-    lines = [f"  {key:<22} {_fmt(value)}" for key, value in blob.items()]
-    result = {"params": blob}
+    lines = [f"  {key:<22} {_fmt(value)}" for key, value in vars(ps).items()]
+    result = {"params": ps}
     if ns.container_check:
         if ns.theorem != "cycles":
             raise InputError("--container-check currently covers the "
@@ -315,33 +322,24 @@ def cmd_params(ns) -> int:
         verdict = container_condition(
             cycle_system_analytic_degrees(ps.n, ns.k), ns.k, ps.tau,
             ps.epsilon)
-        result["container_condition"] = {
-            "satisfied": verdict.satisfied,
-            "lhs": verdict.lhs.to_json(),
-            "margin": verdict.margin.to_json(),
-        }
+        result["container_condition"] = verdict
         lines.append(f"  container condition satisfied={verdict.satisfied} "
-                     f"margin={_fmt(verdict.margin.to_json())}")
-    emit(ns, "params",
-         {"theorem": ns.theorem, "k": ns.k, "r": ns.r, "g": ns.g,
-          "base_number": base},
-         result,
-         "container threshold, fingerprint length, and sampling-scale "
-         "constants for the girth-constrained construction",
-         lines)
-    return EXIT_OK
+                     f"margin={_fmt(verdict.margin)}")
+    return emit(ns, "params",
+                {"theorem": ns.theorem, "k": ns.k, "r": ns.r, "g": ns.g,
+                 "base_number": base},
+                result,
+                "container threshold, fingerprint length, and sampling-scale "
+                "constants for the girth-constrained construction",
+                lines)
 
 
 def _fmt(value) -> str:
-    if isinstance(value, dict):
-        if set(value) == {"sign", "log2"}:
-            if value["sign"] == 0:
-                return "0"
-            prefix = "-" if value["sign"] < 0 else ""
-            return f"{prefix}2^{value['log2']}"
-        if set(value) == {"num", "den"}:
-            return f"{value['num']}/{value['den']}"
-    return str(value)
+    """Text form of a value: a LogNum as a signed power of two."""
+    if isinstance(value, LogNum) and value.sign != 0:
+        prefix = "-" if value.sign < 0 else ""
+        return f"{prefix}2^{value.to_json()['log2']}"
+    return "0" if isinstance(value, LogNum) else str(value)
 
 
 def cmd_sample(ns) -> int:
@@ -351,21 +349,19 @@ def cmd_sample(ns) -> int:
         g = sample_gnp(ns.n, ns.p, seed)
         if ns.out:
             write_graph(g, ns.out)
-        emit(ns, "sample", config,
-             {"edges": g.num_edges, "out": ns.out,
-              "graph": None if ns.out else g},
-             "independent-pairs random graph draw",
-             [f"  sampled {g.num_edges} edges on {g.n} vertices"
-              + (f" -> {ns.out}" if ns.out else "")])
-        return EXIT_OK
+        return emit(ns, "sample", config,
+                    {"edges": g.num_edges, "out": ns.out,
+                     "graph": None if ns.out else g},
+                    "independent-pairs random graph draw",
+                    [f"  sampled {g.num_edges} edges on {g.n} vertices"
+                     + (f" -> {ns.out}" if ns.out else "")])
     if ns.kind == "subset":
         s = sample_subset(ns.n, ns.p, seed)
-        emit(ns, "sample", config,
-             {"size": len(s), "elements": sorted(s)},
-             "independent-elements random subset draw",
-             [f"  sampled {len(s)} of {ns.n} elements",
-              "  " + " ".join(str(x) for x in sorted(s))])
-        return EXIT_OK
+        return emit(ns, "sample", config,
+                    {"size": len(s), "elements": sorted(s)},
+                    "independent-elements random subset draw",
+                    [f"  sampled {len(s)} of {ns.n} elements",
+                     "  " + " ".join(str(x) for x in sorted(s))])
     if ns.k is None:
         raise InputError("girth-rejection needs -k")
     config.update({"k": ns.k, "max_tries": ns.max_tries})
@@ -387,12 +383,13 @@ def cmd_girth(ns) -> int:
     g = read_graph(ns.graph)
     value = graph_girth(g)
     shown = "infinite" if value == float("inf") else int(value)
-    emit(ns, "girth", {"graph": ns.graph, "n": g.n, "edges": g.num_edges},
-         {"girth": None if shown == "infinite" else shown,
-          "infinite": shown == "infinite"},
-         "shortest cycle length by breadth-first search from every vertex",
-         [f"  girth = {shown}"])
-    return EXIT_OK
+    return emit(ns, "girth",
+                {"graph": ns.graph, "n": g.n, "edges": g.num_edges},
+                {"girth": None if shown == "infinite" else shown,
+                 "infinite": shown == "infinite"},
+                "shortest cycle length by breadth-first search from every "
+                "vertex",
+                [f"  girth = {shown}"])
 
 
 def cmd_cycles(ns) -> int:
@@ -402,28 +399,26 @@ def cmd_cycles(ns) -> int:
     counts = {str(j): c for j, c in sorted(report.counts.items())}
     lines = [f"  X_{j} = {c}" for j, c in sorted(report.counts.items())]
     lines.append(f"  sparsity girth >= {ns.g}: {verdict.satisfied}")
-    emit(ns, "cycles", {**src, "g": ns.g, "uniformity": hg.h,
-                        "universe": hg.num_vertices, "edges": hg.num_edges},
-         {"counts": counts, "total": report.total,
-          "sparsity_satisfied": verdict.satisfied,
-          "witness": list(verdict.witness_edges)
-          if verdict.witness_edges else None},
-         "census of short cycles and the span-based girth check",
-         lines)
-    return EXIT_OK
+    return emit(ns, "cycles",
+                {**src, "g": ns.g, "uniformity": hg.h,
+                 "universe": hg.num_vertices, "edges": hg.num_edges},
+                {"counts": counts, "total": report.total,
+                 "sparsity_satisfied": verdict.satisfied,
+                 "witness": list(verdict.witness_edges)
+                 if verdict.witness_edges else None},
+                "census of short cycles and the span-based girth check",
+                lines)
 
 
 def cmd_colour(ns) -> int:
     hg, src = _load_system(ns)
     res = colouring_search(hg, ns.r, _budget(ns))
-    result = {"status": res.status, "nodes": res.nodes,
-              "witness": res.colouring if res.status == PROPER else None}
-    emit(ns, "colour", {**src, "r": ns.r},
-         result,
-         "exhaustive backtracking over vertex colourings with canonical "
-         "colour classes",
-         [f"  {res.status} ({res.nodes} nodes)"])
-    return EXIT_BUDGET if res.status == BUDGET_EXCEEDED else EXIT_OK
+    return emit(ns, "colour", {**src, "r": ns.r},
+                {"status": res.status, "nodes": res.nodes,
+                 "witness": res.colouring},
+                "exhaustive backtracking over vertex colourings with "
+                "canonical colour classes",
+                [f"  {res.status} ({res.nodes} nodes)"])
 
 
 def cmd_arrows(ns) -> int:
@@ -432,12 +427,10 @@ def cmd_arrows(ns) -> int:
                          "not a prebuilt hypergraph; use `colour` for those")
     kind, base, src = _copy_source(ns)
     res = arrows(base, kind, ns.k, ns.r, _budget(ns))
-    emit(ns, "arrows", {**src, "kind": kind, "r": ns.r},
-         {"status": res.status, "nodes": res.nodes, "witness": res.witness},
-         "arrowing verdict via exhaustive colouring search on the system "
-         "of copies",
-         [f"  {res.status} ({res.nodes} nodes)"])
-    return EXIT_BUDGET if res.status == BUDGET_EXCEEDED else EXIT_OK
+    return emit(ns, "arrows", {**src, "kind": kind, "r": ns.r}, res,
+                "arrowing verdict via exhaustive colouring search on the "
+                "system of copies",
+                [f"  {res.status} ({res.nodes} nodes)"])
 
 
 def _decide_or_sweep(ns, command: str, config: dict, decide, sweep,
@@ -446,21 +439,12 @@ def _decide_or_sweep(ns, command: str, config: dict, decide, sweep,
     budget = _budget(ns)
     if ns.n is not None:
         res = decide(budget)
-        emit(ns, command, {**config, "n": ns.n},
-             {"status": res.status, "witness": res.witness,
-              "nodes": res.nodes},
-             decide_provenance,
-             [f"  {res.status}"])
-        return EXIT_BUDGET if res.status == BUDGET_EXCEEDED else EXIT_OK
+        return emit(ns, command, {**config, "n": ns.n}, res,
+                    decide_provenance, [f"  {res.status}"])
     res = sweep(budget)
-    lines = [f"  number = {res.value}" if res.status == EXACT
-             else f"  >= {res.lower_bound} (budget exhausted)"]
-    emit(ns, command, config,
-         {"status": res.status, "value": res.value,
-          "lower_bound": res.lower_bound, "nodes": res.nodes},
-         sweep_provenance,
-         lines)
-    return EXIT_OK if res.status == EXACT else EXIT_BUDGET
+    return emit(ns, command, config, res, sweep_provenance,
+                [f"  number = {res.value}" if res.status == EXACT
+                 else f"  >= {res.lower_bound} (budget exhausted)"])
 
 
 def cmd_ramsey(ns) -> int:
@@ -485,12 +469,9 @@ def cmd_extremal(ns) -> int:
     res = extremal_ex(ns.n, set(range(3, ns.m + 1)), _budget(ns))
     if ns.witness_out:
         write_graph(res.witness, ns.witness_out)
-    emit(ns, "extremal", {"n": ns.n, "forbidden": f"3..{ns.m}"},
-         {"status": res.status, "max_edges": res.max_edges,
-          "witness": res.witness, "nodes": res.nodes},
-         "branch-and-bound over edge sets with girth pruning",
-         [f"  max edges = {res.max_edges} ({res.status})"])
-    return EXIT_OK if res.status == EXACT else EXIT_BUDGET
+    return emit(ns, "extremal", {"n": ns.n, "forbidden": f"3..{ns.m}"}, res,
+                "branch-and-bound over edge sets with girth pruning",
+                [f"  max edges = {res.max_edges} ({res.status})"])
 
 
 def cmd_fact_vdw(ns) -> int:
@@ -508,15 +489,11 @@ def cmd_fact_vdw(ns) -> int:
     if ns.colouring is not None:
         colours = read_colours(ns.colouring, range(1, ns.n + 1))
         res = fact_vdw_check(Colouring(colours, ns.r + 1), ns.k, ns.r, ns.W)
-        emit(ns, "fact-vdw", {**config, "colouring": ns.colouring},
-             {"branch": res.branch, "mono_count": res.mono_count,
-              "mono_threshold": res.mono_threshold,
-              "last_class_size": res.last_class_size,
-              "last_threshold": res.last_threshold},
-             "two-branch dichotomy: many monochromatic progressions or a "
-             "heavy last colour class",
-             [f"  branch = {res.branch}"])
-        return EXIT_OK
+        return emit(ns, "fact-vdw", {**config, "colouring": ns.colouring},
+                    res,
+                    "two-branch dichotomy: many monochromatic progressions "
+                    "or a heavy last colour class",
+                    [f"  branch = {res.branch}"])
     seed = _need_seed(ns)
     rng = _random.Random(seed)
     tallies = {"first": 0, "second": 0, "both": 0}
@@ -568,12 +545,11 @@ def cmd_fbounds(ns) -> int:
     budget = _budget_needs(ns, ns.search_R, "--search-R")
     report = f_bound_report(ns.k, ns.r, ramsey_value=ns.R,
                             search_budget=budget if ns.search_R else None)
-    blob = report.to_json()
     lines = [f"  {k:<24} {_fmt(v) if v is not None else '-'}"
-             for k, v in blob.items()]
+             for k, v in vars(report).items()]
     emit(ns, "fbounds", {"k": ns.k, "r": ns.r, "R": ns.R,
                          "search_R": ns.search_R},
-         blob,
+         report,
          "ball-growth and Ramsey lower bounds with the random-construction "
          "upper bound",
          lines)
@@ -594,13 +570,12 @@ def cmd_trials(ns) -> int:
         with open(ns.out, "w", encoding="ascii") as fh:
             count = write_records(run_trials(config), fh,
                                   include_timings=ns.timings)
-        if not ns.json:
-            print(f"ramseykit {__version__} — trials")
-            print(f"  wrote {count} records to {ns.out}")
-        else:
-            emit(ns, "trials", config.echo(),
-                 {"records": count, "out": ns.out},
-                 "seeded experiment batch", [])
+        if ns.json:
+            return emit(ns, "trials", config.echo(),
+                        {"records": count, "out": ns.out},
+                        "seeded experiment batch", [])
+        print(f"ramseykit {__version__} — trials")
+        print(f"  wrote {count} records to {ns.out}")
         return EXIT_OK
     write_records(run_trials(config), sys.stdout, include_timings=ns.timings)
     return EXIT_OK
@@ -636,13 +611,13 @@ def cmd_verify(ns) -> int:
              "graph file validation and canonical round-trip",
              [f"  parses, canonical={canonical}"])
         return EXIT_OK if canonical else EXIT_ERROR
-    with open(ns.records, encoding="ascii") as fh:
-        numbered = [(i, ln) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    numbered = [(i, ln) for i, ln in enumerate(read_lines(ns.records), 1)
+                if ln.strip()]
     if not numbered:
         raise InputError(f"{ns.records} holds no records")
     config = _record_config(ns.records, *numbered[0])
     lines = [ln for _, ln in numbered]
-    regenerated = [r.to_line() + "\n" for r in run_trials(config)]
+    regenerated = [r.to_line() for r in run_trials(config)]
     identical = regenerated == lines
     emit(ns, "verify", {"records": ns.records, "trials": config.trials,
                         "seed": config.seed},

@@ -19,7 +19,8 @@ from math import factorial
 
 from .graphs import InputError
 from .lognum import LogNum
-from .search import EXACT, NumberResult, SearchBudget, ramsey_number
+from .params import cycles_size_bound
+from .search import EXACT, SearchBudget, ramsey_number
 
 SPECIAL_CASE_EXPONENTS = {6: 6, 8: 12, 12: 30}
 
@@ -57,22 +58,7 @@ class FBoundsReport:
     even_ramsey_exponent: Fraction | None  # R(C_k;r) = O(r^expo), k even
     odd_ramsey_lower: int | None  # 2^r * (k-1)/2 <= R(C_k;r), k odd
     odd_ramsey_upper: int | None  # R(C_k;r) <= (r+2)! * k, k odd
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "r": self.r,
-            "parity": self.parity,
-            "moore_lower": self.moore_lower,
-            "ramsey_number": self.ramsey_number,
-            "lower_bound": self.lower_bound,
-            "upper_log2": self.upper_log2.to_json() if self.upper_log2 else None,
-            "special_case_exponent": self.special_case_exponent,
-            "even_ramsey_exponent": (str(self.even_ramsey_exponent)
-                                     if self.even_ramsey_exponent else None),
-            "odd_ramsey_lower": self.odd_ramsey_lower,
-            "odd_ramsey_upper": self.odd_ramsey_upper,
-        }
+    nodes: int  # spent by the Ramsey search; 0 when nothing was searched
 
 
 def f_bound_report(k: int, r: int, ramsey_value: int | None = None,
@@ -88,17 +74,17 @@ def f_bound_report(k: int, r: int, ramsey_value: int | None = None,
         raise InputError(f"need r >= 2, got {r}")
     parity = "even" if k % 2 == 0 else "odd"
     moore = moore_lower_bound(parity, r, k // 2)
-    ramsey = ramsey_value
+    ramsey, nodes = ramsey_value, 0
     if ramsey is None and search_budget is not None:
-        res: NumberResult = ramsey_number("cycle", k, r, search_budget)
+        res = ramsey_number("cycle", k, r, search_budget)
+        nodes = res.nodes
         if res.status == EXACT:
             ramsey = res.value
     lower = max(moore, ramsey) if ramsey is not None else moore
 
     upper = None
     if ramsey is not None and k >= 4:
-        upper = LogNum.from_int(k) ** (15 * k**3) \
-            * LogNum.from_int(ramsey) ** (10 * k**2)
+        upper = cycles_size_bound(k, ramsey)
 
     even_expo = None
     odd_lower = odd_upper = None
@@ -115,4 +101,4 @@ def f_bound_report(k: int, r: int, ramsey_value: int | None = None,
         lower_bound=lower, upper_log2=upper,
         special_case_exponent=SPECIAL_CASE_EXPONENTS.get(k),
         even_ramsey_exponent=even_expo,
-        odd_ramsey_lower=odd_lower, odd_ramsey_upper=odd_upper)
+        odd_ramsey_lower=odd_lower, odd_ramsey_upper=odd_upper, nodes=nodes)

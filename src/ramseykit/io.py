@@ -26,8 +26,17 @@ class FormatError(InputError):
         self.line_no = line_no
 
 
-def _read_lines(path) -> list[str]:
-    return Path(path).read_text(encoding="ascii").splitlines()
+def read_lines(path) -> list[str]:
+    """The lines of an ASCII text file; the first byte outside ASCII is a
+    FormatError located on its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        # a character after the prefix joins its line or starts the next
+        line_no = len((data[:exc.start].decode("ascii") + ".").splitlines())
+        raise FormatError(path, line_no, f"non-ASCII byte "
+                                         f"0x{data[exc.start]:02x}") from None
 
 
 def _ints(path, line_no: int, line: str, expected: int) -> list[int]:
@@ -43,7 +52,7 @@ def _ints(path, line_no: int, line: str, expected: int) -> list[int]:
 
 def _read_rows(path, header_fields: int, what: str):
     """Header integers, then the non-blank rows with their line numbers."""
-    lines = _read_lines(path)
+    lines = read_lines(path)
     if not lines:
         raise FormatError(path, 1, "empty file")
     header = _ints(path, 1, lines[0], header_fields)
@@ -111,7 +120,7 @@ def write_hypergraph(hg: UniformHypergraph, path) -> None:
 def read_colours(path, universe: Iterable[int]) -> dict[int, int]:
     """Colour file: one whitespace-separated colour per universe element,
     in sorted universe order."""
-    text = Path(path).read_text(encoding="ascii").split()
+    text = " ".join(read_lines(path)).split()
     members = sorted(universe)
     if len(text) != len(members):
         raise FormatError(path, 1, f"expected {len(members)} colours, "
@@ -126,7 +135,7 @@ def read_colours(path, universe: Iterable[int]) -> dict[int, int]:
 def read_config_file(path) -> dict[str, str]:
     """key=value lines; blank lines and '#' comments ignored."""
     out: dict[str, str] = {}
-    for i, raw in enumerate(_read_lines(path), start=1):
+    for i, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

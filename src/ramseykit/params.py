@@ -21,6 +21,23 @@ from .lognum import LogNum, floor_int_mul_log2, log2_value
 THEOREMS = ("cycles", "ap", "cliques")
 
 
+def probability_exponent(theorem: str, k: int) -> Fraction:
+    """The exponent e of the sampling probability p = D_p * n^(-e)."""
+    if theorem == "cycles":
+        return Fraction(k - 2, k - 1)
+    if theorem == "ap":
+        return Fraction(1, k - 1)
+    if theorem == "cliques":
+        return Fraction(2, k + 1)
+    raise InputError(f"unknown theorem kind {theorem!r}")
+
+
+def cycles_size_bound(k: int, R: int) -> LogNum:
+    """k^(15k^3) * R^(10k^2), the order the cycles construction stays under."""
+    return LogNum.from_int(k) ** (15 * k**3) \
+        * LogNum.from_int(R) ** (10 * k**2)
+
+
 @dataclass(frozen=True)
 class ParamSet:
     theorem: str
@@ -44,36 +61,6 @@ class ParamSet:
     @property
     def uniformity(self) -> int:
         return self.k * (self.k - 1) // 2 if self.theorem == "cliques" else self.k
-
-    def to_json(self) -> dict:
-        def num(x):
-            if x is None:
-                return None
-            if isinstance(x, LogNum):
-                return x.to_json()
-            if isinstance(x, Fraction):
-                return {"num": str(x.numerator), "den": str(x.denominator)}
-            return x
-
-        return {
-            "theorem": self.theorem,
-            "k": self.k,
-            "r": self.r,
-            "g": self.g,
-            "base_number": self.base_number,
-            "epsilon": num(self.epsilon),
-            "D_tau": num(self.D_tau),
-            "K": self.K,
-            "s": self.s,
-            "D_p": num(self.D_p),
-            "n": num(self.n),
-            "tau": num(self.tau),
-            "p": num(self.p),
-            "t": num(self.t),
-            "size_bound": num(self.size_bound),
-            "size_bound_ok": self.size_bound_ok,
-            "girth_ramsey_link_ok": self.girth_ramsey_link_ok,
-        }
 
 
 def derive_params(theorem: str, k: int, r: int, g: int | None,
@@ -114,11 +101,10 @@ def _derive_cycles(k: int, r: int, R: int) -> ParamSet:
     D_p = LogNum.from_int(10 * R * R * r * r * K) * LogNum.from_int(s) ** 2 \
         * D_tau * log2_value(10 * R * R * r)
     n = D_p ** (k * k)
-    decay = Fraction(-(k - 2), k - 1)
+    decay = -probability_exponent("cycles", k)
     tau = D_tau * n ** decay
     p = D_p * n ** decay
-    size_bound = LogNum.from_int(k) ** (15 * k**3) \
-        * LogNum.from_int(R) ** (10 * k**2)
+    size_bound = cycles_size_bound(k, R)
     link_lhs = p * (n - 1)
     link_rhs = LogNum.from_int(4 * R * R * k) * D_p ** (k - 1)
     return ParamSet(
@@ -138,7 +124,7 @@ def _derive_ap(k: int, r: int, g: int, W: int) -> ParamSet:
     D_p = LogNum.from_int(128 * W * r * r * K) * LogNum.from_int(s) ** 2 \
         * D_tau * log2_value(128 * W * r)
     n = LogNum.from_int(k) ** (4 * g) * D_p ** (2 * k * (k + g))
-    decay = Fraction(-1, k - 1)
+    decay = -probability_exponent("ap", k)
     tau = D_tau * n ** decay
     p = D_p * n ** decay
     t = p * n / (8 * W)
@@ -162,7 +148,7 @@ def _derive_cliques(k: int, r: int, g: int, R: int) -> ParamSet:
     D_p = LogNum.from_int(50 * R * R * r * r * K) * LogNum.from_int(s) ** 2 \
         * D_tau * log2_value(50 * R * R * r)
     n = D_p ** (k * k * (5 + g))
-    decay = Fraction(-2, k + 1)
+    decay = -probability_exponent("cliques", k)
     tau = D_tau * n ** decay
     p = D_p * n ** decay
     pairs = n * (n - 1) / 2

@@ -47,12 +47,8 @@ def ramsey_decide(kind: str, k: int, r: int, n: int,
 class NumberResult:
     status: str  # EXACT | LOWER_BOUND_ONLY
     value: int | None  # the number itself when exact
-    n_reached: int  # largest size proven not to arrow
+    lower_bound: int  # every smaller size is proven not to arrow
     nodes: int
-
-    @property
-    def lower_bound(self) -> int:
-        return self.n_reached + 1
 
 
 def _least_arrowing(base_of: Callable[[int], Graph | int], kind: str, k: int,
@@ -65,9 +61,9 @@ def _least_arrowing(base_of: Callable[[int], Graph | int], kind: str, k: int,
         res = arrows(base_of(n), kind, k, r, budget)
         nodes += res.nodes
         if res.status == ARROWS:
-            return NumberResult(EXACT, n, n - 1, nodes)
+            return NumberResult(EXACT, n, n, nodes)
         if res.status == BUDGET_EXCEEDED:
-            return NumberResult(LOWER_BOUND_ONLY, None, n - 1, nodes)
+            return NumberResult(LOWER_BOUND_ONLY, None, n, nodes)
         n += 1
 
 
@@ -75,7 +71,7 @@ def ramsey_number(kind: str, k: int, r: int,
                   budget: SearchBudget | None = None) -> NumberResult:
     """Least n such that the complete graph on n vertices arrows the pattern."""
     if kind == "clique" and k == 2:
-        return NumberResult(EXACT, 2, 1, 0)
+        return NumberResult(EXACT, 2, 2, 0)
     return _least_arrowing(complete_graph, kind, k, r, budget)
 
 

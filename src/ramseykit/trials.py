@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, TextIO
 
@@ -22,6 +21,7 @@ from . import __version__
 from .colouring import SearchBudget, colouring_search
 from .graphs import InputError, count_graph_cycles
 from .hypergraphs import UniformHypergraph, system_of_copies
+from .params import THEOREMS, probability_exponent
 from .sampling import (
     DELETION_OK,
     PRNG_NAME,
@@ -32,16 +32,6 @@ from .sampling import (
 )
 
 SCHEMA_VERSION = "v1"
-
-# exponent of n in the sampling probability, per theorem kind
-def probability_exponent(theorem: str, k: int):
-    if theorem == "cycles":
-        return Fraction(k - 2, k - 1)
-    if theorem == "ap":
-        return Fraction(1, k - 1)
-    if theorem == "cliques":
-        return Fraction(2, k + 1)
-    raise InputError(f"unknown theorem kind {theorem!r}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +49,7 @@ class TrialConfig:
     search_budget: int | None = None  # colouring-search nodes; None skips
 
     def __post_init__(self):
-        if self.theorem not in ("cycles", "ap", "cliques"):
+        if self.theorem not in THEOREMS:
             raise InputError(f"unknown theorem kind {self.theorem!r}")
         if self.n < 1:
             raise InputError("n must be positive")

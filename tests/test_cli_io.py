@@ -12,6 +12,7 @@ from ramseykit.io import (
     read_config_file,
     read_graph,
     read_hypergraph,
+    read_lines,
     write_graph,
     write_hypergraph,
 )
@@ -107,6 +108,40 @@ class TestConfigFile:
         path.write_text("just words\n")
         with pytest.raises(FormatError):
             read_config_file(path)
+
+
+class TestNonAsciiInput:
+    """A byte outside ASCII in any input file exits 1 with path:line."""
+
+    @pytest.mark.parametrize("name, content, argv", [
+        ("bad.graph", b"3 1\n0 1\xe9\n", ["girth", "bad.graph"]),
+        ("bad.hg", b"2 3 1\n0 1\xe9\n",
+         ["colour", "--hypergraph", "bad.hg", "-r", "2"]),
+        ("bad.conf", b"k=3\nr=2\xe9\n", ["vdw", "--config", "bad.conf"]),
+        ("bad.col", b"1 2\n3 \xe9\n",
+         ["fact-vdw", "-n", "4", "-k", "3", "-r", "2", "-W", "9",
+          "--colouring", "bad.col"]),
+        ("bad.jsonl", b'{"type": "trial"}\n{"x": "\xe9"}\n',
+         ["verify", "--records", "bad.jsonl"]),
+    ])
+    def test_located_exit_1(self, capsys, tmp_path, monkeypatch, name,
+                            content, argv):
+        monkeypatch.chdir(tmp_path)
+        Path(name).write_bytes(content)
+        assert dispatch(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name}:2: non-ASCII byte 0xe9\n"
+
+    @pytest.mark.parametrize("content, line_no", [
+        (b"\xe9", 1), (b"ab\xe9\n", 1), (b"a\n\n\xe9", 3),
+        (b"a\r\nb\xe9", 2), (b"a\r\n\xe9", 2),
+    ])
+    def test_line_of_the_byte(self, tmp_path, content, line_no):
+        path = tmp_path / "f.txt"
+        path.write_bytes(content)
+        with pytest.raises(FormatError, match=f":{line_no}: non-ASCII"):
+            read_lines(path)
 
 
 class TestCli:

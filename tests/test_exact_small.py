@@ -215,9 +215,7 @@ class TestSharedBudget:
         report = f_bound_report(4, 2, search_budget=budget)
         assert (decided.status, swept.value, ex.max_edges,
                 report.ramsey_number) == (ARROWS, 9, 9, 6)
-        # the report does not count nodes; its sweep alone does
-        report_nodes = ramsey_number("cycle", 4, 2).nodes
-        spent = [decided.nodes, swept.nodes, ex.nodes, report_nodes]
+        spent = [decided.nodes, swept.nodes, ex.nodes, report.nodes]
         assert min(spent) > 0
         assert budget.remaining == 1_000_000 - sum(spent)
 
@@ -233,7 +231,7 @@ class TestSharedBudget:
         ex = extremal_ex(6, {3}, budget)
         assert (ex.status, ex.nodes) == (LOWER_BOUND_ONLY, 0)
         report = f_bound_report(4, 2, search_budget=budget)
-        assert report.ramsey_number is None
+        assert (report.ramsey_number, report.nodes) == (None, 0)
         assert budget.remaining == 0
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from math import comb, factorial
@@ -13,6 +14,7 @@ from ramseykit.bounds import (
     fkg_girth_bound,
     union_bound_sum,
 )
+from ramseykit.cli import dispatch
 from ramseykit.graphs import InputError, complete_graph
 from ramseykit.hypergraphs import degree_stats, system_of_copies
 from ramseykit.lognum import LogNum
@@ -70,9 +72,11 @@ class TestDeriveParams:
         with pytest.raises(InputError):
             derive_params("turan", 3, 2, 3, 9)
 
-    def test_json_serialises(self):
-        ps = derive_params("ap", 3, 2, 4, 9)
-        blob = ps.to_json()
+    def test_json_serialises(self, capsys):
+        argv = ["params", "--theorem", "ap", "-k", "3", "-r", "2", "-g", "4",
+                "-W", "9", "--json"]
+        assert dispatch(argv) == 0
+        blob = json.loads(capsys.readouterr().out)["result"]["params"]
         assert blob["epsilon"] == {"num": "1", "den": "1458"}
         assert set(blob["n"]) == {"sign", "log2"}
 
