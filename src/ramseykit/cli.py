@@ -3,9 +3,9 @@
 Every run echoes its fully resolved configuration (seed and tool version
 included) so outputs are self-describing.  Exit codes separate certainty
 from resource limits: 0 for definitive verdicts, 2 when a budget ran out,
-1 for input errors.  Handlers pass their result objects to `emit`, which
-alone knows the envelope encoding and gives a result whose status is
-budget-exceeded or lower-bound-only exit code 2.
+1 for input errors.  Handlers pass their result objects to `emit`, the one
+place that knows the envelope encoding; it returns exit code 2 for a
+result whose status is budget-exceeded or lower-bound-only.
 """
 
 from __future__ import annotations
@@ -336,10 +336,11 @@ def cmd_params(ns) -> int:
 
 def _fmt(value) -> str:
     """Text form of a value: a LogNum as a signed power of two."""
-    if isinstance(value, LogNum) and value.sign != 0:
-        prefix = "-" if value.sign < 0 else ""
-        return f"{prefix}2^{value.to_json()['log2']}"
-    return "0" if isinstance(value, LogNum) else str(value)
+    if not isinstance(value, LogNum):
+        return str(value)
+    if value.sign == 0:
+        return "0"
+    return f"{'-' if value.sign < 0 else ''}2^{value.to_json()['log2']}"
 
 
 def cmd_sample(ns) -> int:
