@@ -207,7 +207,8 @@ def build_parser() -> Parser:
     p.add_argument("-p", type=float, required=True)
     p.add_argument("-k", type=int, help="girth target (girth-rejection)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--max-tries", type=int, default=1000)
+    p.add_argument("--max-tries", type=int,
+                   help="draws before giving up (girth-rejection, 1000)")
     p.add_argument("--out", help="write the sampled graph to this file")
 
     p = add("girth", help="exact girth of a graph file")
@@ -309,9 +310,11 @@ def build_parser() -> Parser:
 
 
 def cmd_params(ns) -> int:
-    base = ns.R if ns.R is not None else ns.W
-    if base is None:
-        raise InputError("supply -R (cycles/cliques) or -W (ap)")
+    flag, other = ("W", "R") if ns.theorem == "ap" else ("R", "W")
+    base = getattr(ns, flag)
+    if base is None or getattr(ns, other) is not None:
+        raise InputError(f"--theorem {ns.theorem} needs -{flag} and not "
+                         f"-{other} (-R for cycles/cliques, -W for ap)")
     ps = derive_params(ns.theorem, ns.k, ns.r, ns.g, base)
     lines = [f"  {key:<22} {_fmt(value)}" for key, value in vars(ps).items()]
     result = {"params": ps}
@@ -344,6 +347,11 @@ def _fmt(value) -> str:
 
 
 def cmd_sample(ns) -> int:
+    if ns.kind != "girth-rejection" and (ns.k, ns.max_tries) != (None, None):
+        raise InputError("-k and --max-tries apply only to --kind "
+                         "girth-rejection")
+    if ns.kind == "subset" and ns.out:
+        raise InputError("--kind subset draws no graph for --out to write")
     seed = _need_seed(ns)
     config = {"kind": ns.kind, "n": ns.n, "p": ns.p, "seed": seed}
     if ns.kind == "gnp":
@@ -365,8 +373,9 @@ def cmd_sample(ns) -> int:
                      "  " + " ".join(str(x) for x in sorted(s))])
     if ns.k is None:
         raise InputError("girth-rejection needs -k")
-    config.update({"k": ns.k, "max_tries": ns.max_tries})
-    res = rejection_sample_girth(ns.n, ns.p, ns.k, seed, ns.max_tries)
+    max_tries = 1000 if ns.max_tries is None else ns.max_tries
+    config.update({"k": ns.k, "max_tries": max_tries})
+    res = rejection_sample_girth(ns.n, ns.p, ns.k, seed, max_tries)
     if res.succeeded and ns.out:
         write_graph(res.graph, ns.out)
     emit(ns, "sample", config,
@@ -414,9 +423,7 @@ def cmd_cycles(ns) -> int:
 def cmd_colour(ns) -> int:
     hg, src = _load_system(ns)
     res = colouring_search(hg, ns.r, _budget(ns))
-    return emit(ns, "colour", {**src, "r": ns.r},
-                {"status": res.status, "nodes": res.nodes,
-                 "witness": res.colouring},
+    return emit(ns, "colour", {**src, "r": ns.r}, res,
                 "exhaustive backtracking over vertex colourings with "
                 "canonical colour classes",
                 [f"  {res.status} ({res.nodes} nodes)"])
@@ -544,6 +551,8 @@ def cmd_fact7(ns) -> int:
 
 def cmd_fbounds(ns) -> int:
     budget = _budget_needs(ns, ns.search_R, "--search-R")
+    if ns.search_R and ns.R is not None:
+        raise InputError("give -R or --search-R, not both")
     report = f_bound_report(ns.k, ns.r, ramsey_value=ns.R,
                             search_budget=budget if ns.search_R else None)
     lines = [f"  {k:<24} {_fmt(v) if v is not None else '-'}"
@@ -571,13 +580,10 @@ def cmd_trials(ns) -> int:
         with open(ns.out, "w", encoding="ascii") as fh:
             count = write_records(run_trials(config), fh,
                                   include_timings=ns.timings)
-        if ns.json:
-            return emit(ns, "trials", config.echo(),
-                        {"records": count, "out": ns.out},
-                        "seeded experiment batch", [])
-        print(f"ramseykit {__version__} — trials")
-        print(f"  wrote {count} records to {ns.out}")
-        return EXIT_OK
+        return emit(ns, "trials", config.echo(),
+                    {"records": count, "out": ns.out},
+                    "seeded experiment batch",
+                    [f"  wrote {count} records to {ns.out}"])
     write_records(run_trials(config), sys.stdout, include_timings=ns.timings)
     return EXIT_OK
 
@@ -585,13 +591,7 @@ def cmd_trials(ns) -> int:
 def _record_config(path, line_no: int, line: str) -> TrialConfig:
     """The trial configuration a record line echoes."""
     try:
-        echo = json.loads(line)["config"]
-        return TrialConfig(
-            theorem=echo["theorem"], n=echo["n"], k=echo["k"], r=echo["r"],
-            g=echo["g"], p=echo["p_explicit"], scale_c=echo["scale_c"],
-            seed=echo["seed"], trials=echo["trials"],
-            deletion_cap=echo["deletion_cap"],
-            search_budget=echo["search_budget"])
+        return TrialConfig.from_echo(json.loads(line)["config"])
     except KeyError as exc:
         raise FormatError(path, line_no, f"record has no {exc} field") from exc
     except (ValueError, TypeError) as exc:  # not JSON, or wrong value types

@@ -89,7 +89,7 @@ class SearchBudget:
 @dataclass(frozen=True)
 class SearchResult:
     status: str  # PROPER | UNCOLOURABLE | BUDGET_EXCEEDED
-    colouring: Colouring | None
+    witness: Colouring | None
     nodes: int
 
 
@@ -193,5 +193,5 @@ def arrows(base: Graph | int, kind: str, k: int, r: int,
     if res.status == UNCOLOURABLE:
         return ArrowsResult(ARROWS, None, res.nodes)
     if res.status == PROPER:
-        return ArrowsResult(NOT_ARROWS, res.colouring, res.nodes)
+        return ArrowsResult(NOT_ARROWS, res.witness, res.nodes)
     return ArrowsResult(BUDGET_EXCEEDED, None, res.nodes)

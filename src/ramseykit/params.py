@@ -58,10 +58,6 @@ class ParamSet:
     size_bound_ok: bool
     girth_ramsey_link_ok: bool | None  # cycles only: p(n-1) > 4 R^2 k D_p^(k-1)
 
-    @property
-    def uniformity(self) -> int:
-        return self.k * (self.k - 1) // 2 if self.theorem == "cliques" else self.k
-
 
 def derive_params(theorem: str, k: int, r: int, g: int | None,
                   base_number: int) -> ParamSet:

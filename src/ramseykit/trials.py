@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from typing import Iterator, TextIO
 
@@ -59,6 +60,9 @@ class TrialConfig:
             raise InputError("trial count must be non-negative")
         if (self.p is None) == (self.scale_c is None):
             raise InputError("set exactly one of p and scale_c")
+        p = self.resolved_p()
+        if not 0 <= p <= 1:
+            raise InputError(f"probability must lie in [0, 1], got {p}")
 
     def resolved_p(self) -> float:
         if self.p is not None:
@@ -71,15 +75,12 @@ class TrialConfig:
             return self.g
         return self.k if self.theorem == "cycles" else 3
 
-    def universe_size(self) -> int:
-        if self.theorem == "ap":
-            return self.n
-        return self.n * (self.n - 1) // 2  # edge slots of the base graph
-
     def resolved_cap(self) -> float:
         if self.deletion_cap is not None:
             return float(self.deletion_cap)
-        return 0.1 * self.resolved_p() * self.universe_size()
+        # the universe: {1..n} for ap, else the edge slots of the base graph
+        size = self.n if self.theorem == "ap" else self.n * (self.n - 1) // 2
+        return 0.1 * self.resolved_p() * size
 
     def echo(self) -> dict:
         return {
@@ -101,6 +102,13 @@ class TrialConfig:
             "search_budget": self.search_budget,
         }
 
+    @classmethod
+    def from_echo(cls, echo: dict) -> TrialConfig:
+        """The config an `echo()` describes: its resolved g and cap rebuild
+        the same echo, and `p` is read from `p_explicit`."""
+        return cls(**{f.name: echo["p_explicit" if f.name == "p" else f.name]
+                      for f in fields(cls)})
+
 
 @dataclass(frozen=True)
 class ExperimentRecord:
@@ -121,18 +129,10 @@ class ExperimentRecord:
     wall_time: float | None = field(default=None, compare=False)
 
     def to_json(self, include_timings: bool = False) -> dict:
-        out = {"type": self.type, "config": self.config}
-        for name in ("trial", "seed", "sample_size", "system_edges",
-                     "cycle_counts", "deletion_status", "survivor_edges",
-                     "girth_ok", "search_status", "error", "aggregates"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        if self.removed is not None:
-            out["removed"] = list(self.removed)
-        if include_timings and self.wall_time is not None:
-            out["wall_time"] = self.wall_time
-        return out
+        """The set fields; `wall_time` only when timings are asked for."""
+        return {name: value for name, value in vars(self).items()
+                if value is not None
+                and (include_timings or name != "wall_time")}
 
     def to_line(self, include_timings: bool = False) -> str:
         return json.dumps(self.to_json(include_timings), sort_keys=True,
@@ -154,6 +154,16 @@ def _ap_system_of_subset(n: int, k: int, subset: set[int]) -> UniformHypergraph:
     return UniformHypergraph(k, tuple(members), tuple(sorted(edges)))
 
 
+def _search_status(config: TrialConfig,
+                   system: UniformHypergraph | None) -> str | None:
+    """Status of the budgeted colouring search of `system`; None when there
+    is no budget or no system to search."""
+    if system is None or not config.search_budget:
+        return None
+    return colouring_search(system, config.r,
+                            SearchBudget(config.search_budget)).status
+
+
 def _run_one_trial(config: TrialConfig, index: int) -> ExperimentRecord:
     seed = config.seed + index
     p = config.resolved_p()
@@ -165,15 +175,12 @@ def _run_one_trial(config: TrialConfig, index: int) -> ExperimentRecord:
     if config.theorem == "cycles":
         graph = sample_gnp(config.n, p, seed)
         counts = {str(j): count_graph_cycles(graph, j) for j in range(3, g)}
-        girth_ok = not any(counts.values())  # no cycle of length 3..g-1
-        search_status = None
-        if config.search_budget:
-            hg = system_of_copies("cycle", graph, config.k)
-            search_status = colouring_search(
-                hg, config.r, SearchBudget(config.search_budget)).status
+        copies = (system_of_copies("cycle", graph, config.k)
+                  if config.search_budget else None)
         return ExperimentRecord(
             **base, sample_size=graph.num_edges, cycle_counts=counts,
-            girth_ok=girth_ok, search_status=search_status,
+            girth_ok=not any(counts.values()),  # no cycle of length 3..g-1
+            search_status=_search_status(config, copies),
             wall_time=time.monotonic() - started)
 
     if config.theorem == "ap":
@@ -187,34 +194,24 @@ def _run_one_trial(config: TrialConfig, index: int) -> ExperimentRecord:
 
     deletion = delete_short_cycles(hg, g, config.resolved_cap())
     counts = {str(j): c for j, c in sorted(deletion.census.counts.items())}
-    girth_ok = None
-    survivor_edges = None
-    search_status = None
-    if deletion.status == DELETION_OK:
-        girth_ok = True  # declared only on a satisfied sparsity verdict
-        survivor_edges = deletion.survivor.num_edges
-        if config.search_budget:
-            search_status = colouring_search(
-                deletion.survivor, config.r,
-                SearchBudget(config.search_budget)).status
+    ok = deletion.status == DELETION_OK  # a satisfied sparsity verdict
     return ExperimentRecord(
         **base, sample_size=sample_size, system_edges=hg.num_edges,
         cycle_counts=counts, deletion_status=deletion.status,
-        removed=deletion.removed, survivor_edges=survivor_edges,
-        girth_ok=girth_ok, search_status=search_status,
+        removed=deletion.removed, girth_ok=True if ok else None,
+        survivor_edges=deletion.survivor.num_edges if ok else None,
+        search_status=_search_status(config, deletion.survivor),
         wall_time=time.monotonic() - started)
 
 
 def run_trials(config: TrialConfig) -> Iterator[ExperimentRecord]:
-    """Run the batch; yields one record per trial then a summary record.
+    """Run the batch; yields one record per trial then a summary record
+    computed from the trials that finished.
 
     Per-trial failures become records with an `error` field and never
     abort the batch.
     """
-    totals: dict[str, float] = {}
-    counts: dict[str, int] = {"trials": 0, "errors": 0,
-                              "deletion_ok": 0, "girth_ok": 0}
-    cycle_totals: dict[str, int] = {}
+    done: list[ExperimentRecord] = []
     for i in range(config.trials):
         try:
             record = _run_one_trial(config, i)
@@ -222,29 +219,22 @@ def run_trials(config: TrialConfig) -> Iterator[ExperimentRecord]:
             record = ExperimentRecord(
                 type="trial", config=config.echo(), trial=i,
                 seed=config.seed + i, error=f"{type(exc).__name__}: {exc}")
-        counts["trials"] += 1
-        if record.error is not None:
-            counts["errors"] += 1
         else:
-            totals["sample_size"] = totals.get("sample_size", 0) \
-                + record.sample_size
-            if record.deletion_status == DELETION_OK:
-                counts["deletion_ok"] += 1
-            if record.girth_ok:
-                counts["girth_ok"] += 1
-            for j, c in (record.cycle_counts or {}).items():
-                cycle_totals[j] = cycle_totals.get(j, 0) + c
+            done.append(record)
         yield record
 
-    done = counts["trials"] - counts["errors"]
+    cycles = Counter()
+    for record in done:
+        cycles.update(record.cycle_counts)  # unlike +, keeps zero counts
     aggregates = {
-        "trials": counts["trials"],
-        "errors": counts["errors"],
-        "deletion_ok": counts["deletion_ok"],
-        "girth_ok": counts["girth_ok"],
-        "mean_sample_size": (totals.get("sample_size", 0) / done) if done else None,
-        "mean_cycle_counts": {j: c / done for j, c in sorted(cycle_totals.items())}
-        if done else {},
+        "trials": config.trials,
+        "errors": config.trials - len(done),
+        "deletion_ok": sum(r.deletion_status == DELETION_OK for r in done),
+        "girth_ok": sum(bool(r.girth_ok) for r in done),
+        "mean_sample_size":
+            sum(r.sample_size for r in done) / len(done) if done else None,
+        "mean_cycle_counts": {j: c / len(done)
+                              for j, c in sorted(cycles.items())},
     }
     yield ExperimentRecord(type="summary", config=config.echo(),
                            aggregates=aggregates)

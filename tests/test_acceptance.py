@@ -6,7 +6,6 @@ prints `criterion N: PASS` on success; a failure raises inside the
 criterion it belongs to.
 """
 
-import json
 import math
 import statistics
 import time
@@ -24,7 +23,7 @@ from ramseykit.bounds import (
     expected_short_cycle_counts,
 )
 from ramseykit.cli import EXIT_OK, dispatch
-from ramseykit.colouring import ARROWS, NOT_ARROWS, Colouring, verify_colouring
+from ramseykit.colouring import NOT_ARROWS, Colouring, verify_colouring
 from ramseykit.fbounds import f_bound_report, moore_lower_bound
 from ramseykit.graphs import complete_graph
 from ramseykit.hypergraphs import (

@@ -376,6 +376,62 @@ class TestCli:
             f"error: {conf}:2: expected key=value\n")
 
 
+
+class TestRejectedFlags:
+    """A flag the command would ignore, or read in place of another, is an
+    input error (exit 1, nothing on stdout), not a silent default."""
+
+    def rejects(self, capsys, *argv) -> str:
+        code = dispatch([*argv, "--json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR, argv
+        assert captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("theorem,flags", [
+        ("ap", ["-g", "5", "-R", "6", "-W", "9"]),
+        ("ap", ["-g", "5", "-R", "6"]),
+        ("cycles", ["-W", "6"]),
+        ("cycles", ["-R", "6", "-W", "6"]),
+        ("cliques", ["-g", "4", "-W", "6"]),
+    ])
+    def test_params_reads_one_base_flag_by_theorem(self, capsys, theorem,
+                                                   flags):
+        err = self.rejects(capsys, "params", "--theorem", theorem, "-k", "3",
+                           "-r", "2", *flags)
+        flag = "-W" if theorem == "ap" else "-R"
+        assert f"--theorem {theorem} needs {flag} and not" in err
+
+    def test_fbounds_rejects_r_with_search_r(self, capsys):
+        err = self.rejects(capsys, "fbounds", "-k", "4", "-r", "2", "-R", "6",
+                           "--search-R", "--budget-nodes", "5")
+        assert "-R" in err and "--search-R" in err
+
+    def test_sample_subset_rejects_out(self, capsys, tmp_path):
+        out = tmp_path / "s.graph"
+        err = self.rejects(capsys, "sample", "--kind", "subset", "-n", "20",
+                           "-p", "0.5", "--seed", "1", "--out", str(out))
+        assert "--out" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,flags", [
+        ("gnp", ["-k", "9"]),
+        ("gnp", ["--max-tries", "3"]),
+        ("subset", ["-k", "9", "--max-tries", "3"]),
+    ])
+    def test_sample_k_and_max_tries_only_for_rejection(self, capsys, kind,
+                                                       flags):
+        err = self.rejects(capsys, "sample", "--kind", kind, "-n", "20",
+                           "-p", "0.5", "--seed", "1", *flags)
+        assert "girth-rejection" in err
+
+    def test_rejection_echoes_the_default_max_tries(self, capsys):
+        code = dispatch(["sample", "--kind", "girth-rejection", "-n", "5",
+                         "-p", "0.1", "-k", "4", "--seed", "1", "--json"])
+        blob = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert blob["config"]["max_tries"] == 1000
+
 class TestEnvelopes:
     def test_every_command_envelope_validates(self, capsys, tmp_path):
         graph_path = tmp_path / "k6.graph"
@@ -423,6 +479,30 @@ class TestTrialsCli:
         assert len(lines) == 5
         for line in lines:
             jsonschema.validate(json.loads(line), RECORD_SCHEMA)
+
+    @pytest.mark.parametrize("flags", [["--scale-c", "100"], ["-p", "2"],
+                                       ["-p", "-0.5"]])
+    def test_probability_outside_unit_interval_exits_1(self, capsys,
+                                                       tmp_path, flags):
+        out = tmp_path / "r.jsonl"
+        code = dispatch(["trials", "--theorem", "ap", "-n", "100", "-k", "3",
+                         *flags, "--trials", "2", "--seed", "1",
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert "probability must lie in [0, 1]" in captured.err
+        assert not out.exists()
+
+    def test_out_text_echoes_config_and_seed(self, capsys, tmp_path):
+        out = tmp_path / "r.jsonl"
+        assert dispatch(self.args(out)) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "computed: seeded experiment batch" in text
+        config = next(ln for ln in text.splitlines()
+                      if ln.startswith("config: "))
+        assert "seed=11" in config.split() and "theorem=ap" in config.split()
+        assert f"  wrote 5 records to {out}" in text.splitlines()
 
     def test_verify_records_roundtrip(self, capsys, tmp_path):
         out = tmp_path / "r.jsonl"

@@ -66,7 +66,7 @@ class TestSearch:
         hg = hypergraph_from_edges(3, range(3), [(0, 1, 2)])
         res = colouring_search(hg, 2)
         assert res.status == PROPER
-        assert verify_colouring(hg, res.colouring)
+        assert verify_colouring(hg, res.witness)
 
     def test_vdw_9_3_uncolourable(self):
         hg = system_of_copies("ap", 9, 3)
@@ -78,7 +78,7 @@ class TestSearch:
         hg = system_of_copies("ap", 8, 3)
         res = colouring_search(hg, 2)
         assert res.status == PROPER
-        assert verify_colouring(hg, res.colouring)
+        assert verify_colouring(hg, res.witness)
 
     def test_budget_never_misreports(self):
         hg = system_of_copies("ap", 9, 3)
@@ -99,13 +99,13 @@ class TestSearch:
                 res = colouring_search(hg, r)
                 assert (res.status == PROPER) == naive_colourable(hg, r)
                 if res.status == PROPER:
-                    assert verify_colouring(hg, res.colouring)
+                    assert verify_colouring(hg, res.witness)
 
     def test_deterministic_witness(self):
         hg = system_of_copies("ap", 8, 3)
         a = colouring_search(hg, 2)
         b = colouring_search(hg, 2)
-        assert a.colouring == b.colouring
+        assert a.witness == b.witness
         assert a.nodes == b.nodes
 
     def test_empty_universe(self):

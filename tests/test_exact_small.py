@@ -5,14 +5,13 @@ from fractions import Fraction
 import pytest
 
 from ramseykit.colouring import ARROWS, BUDGET_EXCEEDED, NOT_ARROWS, Colouring, verify_colouring
-from ramseykit.extremal import ExtremalResult, extremal_ex, fact7_premise
+from ramseykit.extremal import extremal_ex, fact7_premise
 from ramseykit.fbounds import f_bound_report, moore_lower_bound
 from ramseykit.graphs import InputError, complete_graph, graph_girth
 from ramseykit.hypergraphs import system_of_copies
 from ramseykit.search import (
     EXACT,
     LOWER_BOUND_ONLY,
-    FactViolationError,
     SearchBudget,
     fact_vdw_check,
     ramsey_decide,

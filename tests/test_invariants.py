@@ -7,8 +7,7 @@ import random
 import statistics
 from fractions import Fraction
 
-import pytest
-from mpmath import mp, workprec
+from mpmath import workprec
 
 from ramseykit.bounds import (
     container_condition,

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, workprec
+from mpmath import workprec
 
 from ramseykit.lognum import LogNum, floor_int_mul_log2, log2_value
 

@@ -203,6 +203,29 @@ class TestRunTrials:
         assert records[0].type == "summary"
         assert records[0].aggregates["trials"] == 0
 
+    @pytest.mark.parametrize("kw", [dict(scale_c=100.0), dict(p=2.0),
+                                    dict(p=-0.5), dict(p=float("nan"))])
+    def test_probability_outside_unit_interval_rejected(self, kw):
+        # before the batch starts, not as one error record per trial
+        with pytest.raises(InputError, match=r"must lie in \[0, 1\]"):
+            self.config(**{"n": 100, "scale_c": None, **kw})
+
+    @pytest.mark.parametrize("kw", [
+        *GOLDEN_CONFIGS.values(),
+        dict(theorem="ap", n=300, k=3, scale_c=0.5),  # g and cap resolved
+    ])
+    def test_from_echo_rebuilds_the_echo(self, kw):
+        cfg = TrialConfig(**kw)
+        assert TrialConfig.from_echo(cfg.echo()).echo() == cfg.echo()
+
+    def test_to_json_holds_the_set_fields(self):
+        record = next(iter(run_trials(self.config(trials=1))))
+        unset = {"error", "aggregates", "wall_time", "search_status"}
+        if record.deletion_status != "ok":
+            unset |= {"survivor_edges", "girth_ok"}
+        assert set(record.to_json()) == set(vars(record)) - unset
+        assert "wall_time" in record.to_json(include_timings=True)
+
     def test_stream_shape(self):
         records = list(run_trials(self.config()))
         assert len(records) == 6
