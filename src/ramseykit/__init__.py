@@ -18,7 +18,6 @@ from .colouring import (
     Colouring,
     SearchResult,
     arrows,
-    colouring_from_classes,
     colouring_search,
     verify_colouring,
 )

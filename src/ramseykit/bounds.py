@@ -20,17 +20,18 @@ from .graphs import InputError
 from .hypergraphs import DegreeStats
 from .lognum import DEFAULT_PREC, LogNum, Real
 
+MAX_PREC = 1 << 14  # bits at which an unsettled verdict is an error
 
-def _stable_verdict(evaluate, start_prec: int | None = None,
-                    max_prec: int = 1 << 14):
+
+def _stable_verdict(evaluate):
     """Run `evaluate` under doubling precision until its verdict repeats.
 
     `evaluate` returns (verdict, payload); only the verdict must stabilise.
     """
-    prec = start_prec or max(mp.prec, DEFAULT_PREC)
+    prec = max(mp.prec, DEFAULT_PREC)
     with workprec(prec):
         prev, payload = evaluate()
-    while prec < max_prec:
+    while prec < MAX_PREC:
         prec *= 2
         with workprec(prec):
             cur, payload = evaluate()
@@ -38,7 +39,7 @@ def _stable_verdict(evaluate, start_prec: int | None = None,
             return cur, payload
         prev = cur
     raise RuntimeError("inequality verdict did not stabilise under "
-                       f"precision doubling up to {max_prec} bits")
+                       f"precision doubling up to {MAX_PREC} bits")
 
 
 @dataclass(frozen=True)

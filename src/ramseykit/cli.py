@@ -64,6 +64,9 @@ from .trials import TrialConfig, run_trials, write_records
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BUDGET = 2
+BUDGET = ("budget_nodes", "budget_secs")  # the dests of the budget flags
+LEAST = {"budget_nodes": 0, "budget_secs": 0, "cap": 0, "random": 1,
+         "search_budget": 1}  # least values; NaN and inf fail too
 
 
 class Parser(argparse.ArgumentParser):
@@ -127,16 +130,20 @@ def _need_seed(ns) -> int:
     return secrets.randbits(32)
 
 
+def _flag(dest: str) -> str:
+    """The command-line spelling of an option's dest or config-file key."""
+    return ("-" + dest) if len(dest) == 1 else ("--" + dest.replace("_", "-"))
+
+
+def _unused(ns, why: str, *dests: str) -> None:
+    """Reject the given `dests` (None when not given): nothing reads them."""
+    given = [_flag(d) for d in dests if getattr(ns, d) is not None]
+    if given:
+        raise InputError(f"{', '.join(given)} unused here because {why}")
+
+
 def _budget(ns) -> SearchBudget:
     return SearchBudget(node_limit=ns.budget_nodes, wall_secs=ns.budget_secs)
-
-
-def _budget_needs(ns, searching: bool, flag: str) -> SearchBudget:
-    """The budget flags, rejected when the search they bound is not run."""
-    if not searching and (ns.budget_nodes, ns.budget_secs) != (None, None):
-        raise InputError(f"a search budget bounds only the search of "
-                         f"{flag}; add it or drop the budget")
-    return _budget(ns)
 
 
 def _copy_source(ns):
@@ -146,6 +153,7 @@ def _copy_source(ns):
     if ns.k is None or (ns.ap is None and None in (ns.base, ns.kind)):
         raise InputError("give --ap N with -k, or --base with --kind and -k")
     if ns.ap is not None:
+        _unused(ns, "a progression system has no base graph", "kind")
         return "ap", ns.ap, {"ap": ns.ap, "k": ns.k}
     src = {"base": ns.base, "kind": ns.kind, "k": ns.k}
     return ns.kind, read_graph(ns.base), src
@@ -154,8 +162,8 @@ def _copy_source(ns):
 def _load_system(ns):
     """Build the hypergraph a command operates on, plus a config echo."""
     if ns.hypergraph is not None and ns.ap is None and ns.base is None:
-        hg = read_hypergraph(ns.hypergraph)
-        return hg, {"hypergraph": ns.hypergraph}
+        _unused(ns, "a hypergraph file lists its own edges", "k", "kind")
+        return read_hypergraph(ns.hypergraph), {"hypergraph": ns.hypergraph}
     kind, base, src = _copy_source(ns)  # rejects every other mix
     return system_of_copies(kind, base, ns.k), src
 
@@ -284,7 +292,7 @@ def build_parser() -> Parser:
     p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("-r", type=int, default=2)
+    p.add_argument("-r", type=int)
     p.add_argument("-g", type=int)
     p.add_argument("-p", type=float)
     p.add_argument("--scale-c", type=float,
@@ -311,17 +319,18 @@ def build_parser() -> Parser:
 
 def cmd_params(ns) -> int:
     flag, other = ("W", "R") if ns.theorem == "ap" else ("R", "W")
-    base = getattr(ns, flag)
-    if base is None or getattr(ns, other) is not None:
-        raise InputError(f"--theorem {ns.theorem} needs -{flag} and not "
-                         f"-{other} (-R for cycles/cliques, -W for ap)")
+    needs = f"--theorem {ns.theorem} needs -{flag} and not -{other}"
+    _unused(ns, needs, other)
+    if (base := getattr(ns, flag)) is None:
+        raise InputError(needs)
+    if ns.theorem == "cycles":
+        _unused(ns, "the cycles construction targets girth -k itself", "g")
+    elif ns.container_check:
+        raise InputError("--container-check covers only the cycles theorem")
     ps = derive_params(ns.theorem, ns.k, ns.r, ns.g, base)
     lines = [f"  {key:<22} {_fmt(value)}" for key, value in vars(ps).items()]
     result = {"params": ps}
     if ns.container_check:
-        if ns.theorem != "cycles":
-            raise InputError("--container-check currently covers the "
-                             "cycles construction (analytic degree bounds)")
         verdict = container_condition(
             cycle_system_analytic_degrees(ps.n, ns.k), ns.k, ps.tau,
             ps.epsilon)
@@ -347,11 +356,10 @@ def _fmt(value) -> str:
 
 
 def cmd_sample(ns) -> int:
-    if ns.kind != "girth-rejection" and (ns.k, ns.max_tries) != (None, None):
-        raise InputError("-k and --max-tries apply only to --kind "
-                         "girth-rejection")
-    if ns.kind == "subset" and ns.out:
-        raise InputError("--kind subset draws no graph for --out to write")
+    if ns.kind != "girth-rejection":
+        _unused(ns, "only --kind girth-rejection reads them", "k", "max_tries")
+    if ns.kind == "subset":
+        _unused(ns, "--kind subset draws no graph to write", "out")
     seed = _need_seed(ns)
     config = {"kind": ns.kind, "n": ns.n, "p": ns.p, "seed": seed}
     if ns.kind == "gnp":
@@ -430,9 +438,8 @@ def cmd_colour(ns) -> int:
 
 
 def cmd_arrows(ns) -> int:
-    if ns.hypergraph is not None:
-        raise InputError("arrows needs a base object (--ap or --base), "
-                         "not a prebuilt hypergraph; use `colour` for those")
+    _unused(ns, "arrows builds its system from --ap or --base; use `colour` "
+            "for those", "hypergraph")
     kind, base, src = _copy_source(ns)
     res = arrows(base, kind, ns.k, ns.r, _budget(ns))
     return emit(ns, "arrows", {**src, "kind": kind, "r": ns.r}, res,
@@ -487,6 +494,8 @@ def cmd_fact_vdw(ns) -> int:
 
     if (ns.colouring is None) == (ns.random is None):
         raise InputError("choose exactly one of --colouring and --random")
+    if ns.colouring is not None:
+        _unused(ns, "a colouring file draws nothing at random", "seed")
     if ns.verify_w:
         proof = vdw_decide(ns.W, ns.k, ns.r)
         if proof.status != ARROWS:
@@ -522,17 +531,20 @@ def cmd_fact_vdw(ns) -> int:
 
 
 def cmd_fact7(ns) -> int:
-    budget = _budget_needs(ns, ns.search, "--search")
     ex_low, ex_high = ns.ex_low, ns.ex_high
     status = "supplied"
     if ns.search:
+        _unused(ns, "--search computes both values", "ex_low", "ex_high")
+        budget = _budget(ns)
         low = extremal_ex(ns.n, set(range(3, 2 * ns.k)), budget)
         high = extremal_ex(ns.n, set(range(3, 2 * ns.k + 1)), budget)
         ex_low, ex_high = low.max_edges, high.max_edges
         status = "searched" if low.status == EXACT and high.status == EXACT \
             else "searched-lower-bound"
-    if ex_low is None or ex_high is None:
-        raise InputError("supply --ex-low/--ex-high or use --search")
+    else:
+        _unused(ns, "nothing is searched without --search; add it", *BUDGET)
+        if ex_low is None or ex_high is None:
+            raise InputError("supply --ex-low/--ex-high or use --search")
     res = fact7_premise(ns.n, ns.r, ns.k, ex_low, ex_high)
     if ns.search and high.status != EXACT:
         # a lower bound on ex_high can make the premise look true
@@ -550,11 +562,12 @@ def cmd_fact7(ns) -> int:
 
 
 def cmd_fbounds(ns) -> int:
-    budget = _budget_needs(ns, ns.search_R, "--search-R")
-    if ns.search_R and ns.R is not None:
-        raise InputError("give -R or --search-R, not both")
+    if ns.search_R:
+        _unused(ns, "--search-R computes the number -R would give", "R")
+    else:
+        _unused(ns, "nothing is searched without --search-R; add it", *BUDGET)
     report = f_bound_report(ns.k, ns.r, ramsey_value=ns.R,
-                            search_budget=budget if ns.search_R else None)
+                            search_budget=_budget(ns) if ns.search_R else None)
     lines = [f"  {k:<24} {_fmt(v) if v is not None else '-'}"
              for k, v in vars(report).items()]
     emit(ns, "fbounds", {"k": ns.k, "r": ns.r, "R": ns.R,
@@ -571,10 +584,14 @@ def cmd_fbounds(ns) -> int:
 def cmd_trials(ns) -> int:
     if (ns.p is None) == (ns.scale_c is None):
         raise InputError("set exactly one of -p and --scale-c")
+    if ns.theorem == "cycles":
+        _unused(ns, "a cycles trial deletes nothing", "cap")
+    if ns.search_budget is None:
+        _unused(ns, "only the --search-budget search reads it", "r")
     seed = _need_seed(ns)
     config = TrialConfig(
-        theorem=ns.theorem, n=ns.n, k=ns.k, r=ns.r, g=ns.g, p=ns.p,
-        scale_c=ns.scale_c, seed=seed, trials=ns.trials,
+        theorem=ns.theorem, n=ns.n, k=ns.k, r=2 if ns.r is None else ns.r,
+        g=ns.g, p=ns.p, scale_c=ns.scale_c, seed=seed, trials=ns.trials,
         deletion_cap=ns.cap, search_budget=ns.search_budget)
     if ns.out:
         with open(ns.out, "w", encoding="ascii") as fh:
@@ -656,7 +673,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     pairs = read_config_file(argv[idx + 1])
     injected: list[str] = []
     for key, value in pairs.items():
-        flag = ("-" + key) if len(key) == 1 else ("--" + key.replace("_", "-"))
+        flag = _flag(key)
         if value.lower() in ("false", "no", "off"):
             continue  # an unset flag needs no default
         if value.lower() in ("true", "yes", "on", ""):
@@ -676,6 +693,11 @@ def dispatch(argv: list[str]) -> int:
         if ns.command is None:
             parser.print_help()
             return EXIT_ERROR
+        for dest, low in LEAST.items():
+            value = getattr(ns, dest, None)
+            if value is not None and not low <= value < float("inf"):
+                raise InputError(f"{_flag(dest)} must be finite and at least "
+                                 f"{low}, got {value}")
         return HANDLERS[ns.command](ns)
     except FactViolationError as exc:
         print(f"fact violation: {exc}", file=sys.stderr)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping
 
 from .graphs import Graph, InputError
 from .hypergraphs import UniformHypergraph, system_of_copies
@@ -28,14 +27,6 @@ BUDGET_EXCEEDED = "budget-exceeded"
 class Colouring:
     colours: dict[int, int]  # vertex -> colour index, 1-based
     num_colours: int
-
-
-def colouring_from_classes(classes: Mapping[int, set | list], num_colours: int) -> Colouring:
-    colours: dict[int, int] = {}
-    for c, members in classes.items():
-        for v in members:
-            colours[v] = c
-    return Colouring(colours, num_colours)
 
 
 def verify_colouring(hg: UniformHypergraph, col: Colouring) -> bool:

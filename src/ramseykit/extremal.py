@@ -139,5 +139,7 @@ def fact7_premise(n: int, r: int, k: int, ex_low: int,
     smallest girth-2k graph arrowing C_{2k} with r colours has at most n
     vertices.
     """
+    if r < 1 or k < 2:
+        raise InputError(f"need r >= 1 and k >= 2, got r={r} and k={k}")
     holds = ex_low > r * ex_high
     return Fact7Result(holds, n, r, 2 * k, n if holds else None)

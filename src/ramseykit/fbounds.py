@@ -72,6 +72,8 @@ def f_bound_report(k: int, r: int, ramsey_value: int | None = None,
         raise InputError(f"cycle length must be >= 3, got {k}")
     if r < 2:
         raise InputError(f"need r >= 2, got {r}")
+    if ramsey_value is not None and ramsey_value < k:
+        raise InputError(f"R(C_k; r) is at least k={k}, got R={ramsey_value}")
     parity = "even" if k % 2 == 0 else "odd"
     moore = moore_lower_bound(parity, r, k // 2)
     ramsey, nodes = ramsey_value, 0

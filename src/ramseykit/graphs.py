@@ -36,11 +36,6 @@ class Graph:
             u, v = v, u
         return self._index[(u, v)]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._index
-
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:

@@ -20,7 +20,7 @@ would close a shorter one.  Deletion still re-checks its survivor with
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -155,12 +155,6 @@ class DegreeStats:
     num_edges: int
     avg: dict[int, Fraction]
     max: dict[int, int]
-    _edges: tuple = field(default=(), repr=False, compare=False)
-
-    def degree_of(self, vertices: Iterable[int]) -> int:
-        """d(J): number of hyperedges containing every vertex of J."""
-        j = frozenset(vertices)
-        return sum(1 for e in self._edges if j.issubset(e))
 
 
 def degree_stats(hg: UniformHypergraph) -> DegreeStats:
@@ -181,7 +175,7 @@ def degree_stats(hg: UniformHypergraph) -> DegreeStats:
                     best[v] = c
         avg[j] = Fraction(sum(best.values()), nv)
         mx[j] = max(best.values(), default=0)
-    return DegreeStats(hg.h, nv, hg.num_edges, avg, mx, hg.edges)
+    return DegreeStats(hg.h, nv, hg.num_edges, avg, mx)
 
 
 @dataclass(frozen=True)
@@ -190,10 +184,6 @@ class GirthVerdict:
     satisfied: bool
     witness_edges: tuple[int, ...] | None = None  # edge indices, minimal h' then lex
     witness_span: int | None = None
-
-    @property
-    def witness_size(self) -> int | None:
-        return len(self.witness_edges) if self.witness_edges is not None else None
 
 
 def sparsity_girth(hg: UniformHypergraph, g: int) -> GirthVerdict:

@@ -92,10 +92,6 @@ class LogNum:
         raise TypeError(f"cannot convert {type(value).__name__} to LogNum")
 
     @classmethod
-    def from_log2(cls, log2_magnitude, sign: int = 1) -> "LogNum":
-        return cls(sign, log2_magnitude)
-
-    @classmethod
     def exp_of(cls, exponent: Real) -> "LogNum":
         """e raised to `exponent`, where the exponent may itself be huge."""
         with workprec(_prec()):
@@ -114,7 +110,7 @@ class LogNum:
         with workprec(_prec()):
             return mp.power(2, self.log2)
 
-    def to_float(self) -> float:
+    def __float__(self) -> float:
         if self.sign == 0:
             return 0.0
         return float(self.sign * self.magnitude_mpf())

@@ -63,6 +63,8 @@ class TrialConfig:
         p = self.resolved_p()
         if not 0 <= p <= 1:
             raise InputError(f"probability must lie in [0, 1], got {p}")
+        if not 0 <= (cap := self.resolved_cap()) < float("inf"):  # NaN fails
+            raise InputError(f"need a finite deletion cap >= 0, got {cap}")
 
     def resolved_p(self) -> float:
         if self.p is not None:
@@ -136,7 +138,7 @@ class ExperimentRecord:
 
     def to_line(self, include_timings: bool = False) -> str:
         return json.dumps(self.to_json(include_timings), sort_keys=True,
-                          separators=(",", ":"))
+                          separators=(",", ":"), allow_nan=False)
 
 
 def _ap_system_of_subset(n: int, k: int, subset: set[int]) -> UniformHypergraph:

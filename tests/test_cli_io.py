@@ -432,6 +432,51 @@ class TestRejectedFlags:
         assert code == EXIT_OK
         assert blob["config"]["max_tries"] == 1000
 
+    AP = ["--ap", "9", "-k", "3"]
+    HG = ["--hypergraph", "ap9.hg"]
+    FACT_VDW = ["fact-vdw", "-n", "300", "-k", "3", "-r", "2", "-W", "9"]
+    TRIALS = ["trials", "--out", "t.jsonl", "--seed", "3", "--theorem"]
+
+    @pytest.mark.parametrize("argv,flag", [
+        # flags that nothing reads
+        (["arrows", *AP, "-r", "2", "--kind", "cycle"], "--kind"),
+        (["colour", *AP, "-r", "2", "--kind", "clique"], "--kind"),
+        (["cycles", *AP, "-g", "4", "--kind", "cycle"], "--kind"),
+        (["colour", *HG, "-r", "2", "-k", "3"], "-k"),
+        (["colour", *HG, "-r", "2", "--kind", "clique"], "--kind"),
+        (["cycles", *HG, "-g", "3", "-k", "3", "--kind", "cycle"],
+         "-k, --kind"),
+        (["fact7", "-n", "5", "-r", "1", "-k", "2", "--search", "--ex-low",
+          "9", "--ex-high", "1"], "--ex-low, --ex-high"),
+        ([*FACT_VDW, "--colouring", "c.txt", "--seed", "0"], "--seed"),
+        (["params", "--theorem", "cycles", "-k", "4", "-r", "2", "-R", "6",
+          "-g", "4"], "-g"),
+        ([*TRIALS, "cycles", "-n", "25", "-k", "4", "-p", "0.05", "--cap",
+          "0"], "--cap"),
+        ([*TRIALS, "ap", "-n", "30", "-k", "3", "-p", "0.3", "-r", "5"],
+         "-r"),
+        # values that mean nothing
+        ([*TRIALS, "ap", "-n", "30", "-k", "3", "-p", "0.3",
+          "--search-budget", "0"], "--search-budget"),
+        ([*TRIALS, "ap", "-n", "150", "-k", "3", "-g", "5", "-p", "0.3",
+          "--cap", "nan"], "--cap"),
+        (["colour", *AP, "-r", "2", "--budget-nodes", "-5"], "--budget-nodes"),
+        (["colour", *AP, "-r", "2", "--budget-secs", "nan"], "--budget-secs"),
+        ([*FACT_VDW, "--random", "-2", "--seed", "1"], "--random"),
+        (["fact7", "-n", "5", "-r", "0", "-k", "2", "--ex-low", "1",
+          "--ex-high", "1"], "r=0"),
+        (["fbounds", "-k", "4", "-r", "2", "-R", "3"], "R=3"),
+    ])
+    def test_flag_or_value_that_does_nothing(self, capsys, tmp_path,
+                                             monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        write_hypergraph(system_of_copies("ap", 9, 3), "ap9.hg")
+        Path("c.txt").write_text(
+            " ".join(str(i * i % 7 % 3 + 1) for i in range(1, 301)))
+        err = self.rejects(capsys, *argv)
+        assert flag in err
+        assert not Path("t.jsonl").exists()
+
 class TestEnvelopes:
     def test_every_command_envelope_validates(self, capsys, tmp_path):
         graph_path = tmp_path / "k6.graph"

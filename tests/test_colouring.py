@@ -12,7 +12,6 @@ from ramseykit.colouring import (
     Colouring,
     SearchBudget,
     arrows,
-    colouring_from_classes,
     colouring_search,
     verify_colouring,
 )
@@ -42,7 +41,7 @@ class TestVerify:
             assert count_graph_cycles(graph_from_edges(6, cls), 4) == 0
         classes = {1: {k33.edge_id(*e) for e in six_cycle},
                    2: {k33.edge_id(*e) for e in matching}}
-        col = colouring_from_classes(classes, 2)
+        col = Colouring({v: c for c, vs in classes.items() for v in vs}, 2)
         assert verify_colouring(hg, col)
 
     def test_constant_colouring_fails(self):

@@ -255,6 +255,12 @@ class TestFact7:
         assert fact7_premise(10, 2, 3, 11, 4).holds
         assert not fact7_premise(10, 2, 3, 8, 4).holds
 
+    @pytest.mark.parametrize("r,k", [(0, 2), (-1, 2), (1, 1)])
+    def test_no_colours_or_no_cycle_rejected(self, r, k):
+        # with r = 0 any positive ex_low would "hold"
+        with pytest.raises(InputError, match=f"got r={r} and k={k}"):
+            fact7_premise(5, r, k, 1, 1)
+
 
 class TestMooreAndReport:
     def test_moore_values(self):
@@ -290,6 +296,12 @@ class TestMooreAndReport:
         assert f_bound_report(8, 2).special_case_exponent == 12
         assert f_bound_report(12, 2).special_case_exponent == 30
         assert f_bound_report(10, 2).special_case_exponent is None
+
+    def test_report_rejects_ramsey_value_below_k(self):
+        # R(C_k; r) >= k, since the cycle itself needs k vertices
+        with pytest.raises(InputError, match="got R=3"):
+            f_bound_report(4, 2, ramsey_value=3)
+        assert f_bound_report(4, 2, ramsey_value=4).ramsey_number == 4
 
     def test_report_with_search(self):
         report = f_bound_report(4, 2, search_budget=SearchBudget())

@@ -101,7 +101,8 @@ class TestCycleEnumeration:
                 if perm[0] > perm[-1]:
                     continue  # reflection
                 cyc = (fixed,) + perm
-                if all(g.has_edge(cyc[i], cyc[(i + 1) % j]) for i in range(j)):
+                if all(tuple(sorted((cyc[i], cyc[(i + 1) % j]))) in g.edges
+                       for i in range(j)):
                     found.add(cyc)
         return found
 

@@ -1,14 +1,16 @@
 """Source hygiene that a linter would check: no module imports a name it
-never uses.  The package's `__init__.py` is left out, because its imports
-are the public API."""
+never uses, and no public name in the package goes uncalled by the package
+itself.  The import check leaves out the package's `__init__.py`, because
+its imports are the public API."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "ramseykit").glob("*.py"))
 MODULES = sorted(
-    [p for p in (ROOT / "src" / "ramseykit").glob("*.py")
-     if p.name != "__init__.py"]
+    [p for p in PACKAGE if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py")))
 
 
@@ -38,3 +40,56 @@ def test_no_module_imports_a_name_it_never_uses():
              for path in MODULES
              for line, name in unused_imports(path.read_text("utf-8"))]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def names_read(tree: ast.AST) -> Counter:
+    """How often each name is read in `tree`: as a variable, an attribute
+    or an imported name."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.asname or node.name] += 1
+    return found
+
+
+def unused_names(sources: list[str]) -> list[str]:
+    """Public top-level functions and classes, and public methods and
+    properties, that no code in `sources` names outside their own def.
+
+    An `__init__.py` among the sources counts its imports as uses, so an
+    exported name is used.  Dunders and `_private` names are exempt.  Names
+    match by spelling alone: a dead name that shares its spelling with a
+    live one goes unreported."""
+    trees = [ast.parse(source) for source in sources]
+    total = sum((names_read(tree) for tree in trees), Counter())
+    found = []
+    for tree in trees:
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *members]:
+                if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                        and not d.name.startswith("_")
+                        and total[d.name] == names_read(d)[d.name]):
+                    found.append(d.name)
+    return found
+
+
+def test_scan_finds_names_without_a_caller():
+    module = ("def helper():\n    return 1\n"
+              "def lonely():\n    return lonely()\n"
+              "class Box:\n"
+              "    def __len__(self):\n        return 0\n"
+              "    def _private(self):\n        return 0\n"
+              "    def size(self):\n        return helper()\n"
+              "    @property\n    def dead(self):\n        return self.dead\n")
+    user = "from m import Box\nBox().size()\n"
+    assert unused_names([module, user]) == ["lonely", "dead"]
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    found = unused_names([path.read_text("utf-8") for path in PACKAGE])
+    assert not found, "public names nothing in src/ uses: " + ", ".join(found)

@@ -34,7 +34,7 @@ class TestFkgVersusEmpirical:
             for seed in range(seeds))
         rate = hits / seeds
         se = math.sqrt(rate * (1 - rate) / seeds)
-        bound = fkg_girth_bound(n, p, k).product.to_float()
+        bound = float(fkg_girth_bound(n, p, k).product)
         assert bound <= rate + 3 * se, (bound, rate, se)
 
 

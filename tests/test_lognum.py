@@ -24,24 +24,24 @@ class TestConversions:
         assert x.log2 == -3
 
     def test_to_float(self):
-        assert LogNum.from_int(12).to_float() == pytest.approx(12.0)
-        assert LogNum.from_fraction(Fraction(-3, 4)).to_float() == pytest.approx(-0.75)
+        assert float(LogNum.from_int(12)) == pytest.approx(12.0)
+        assert float(LogNum.from_fraction(Fraction(-3, 4))) == pytest.approx(-0.75)
 
 
 class TestArithmetic:
     def test_mul_div_pow(self):
         a = LogNum.from_int(6)
         b = LogNum.from_int(4)
-        assert (a * b).to_float() == pytest.approx(24.0)
-        assert (a / b).to_float() == pytest.approx(1.5)
-        assert (a ** 3).to_float() == pytest.approx(216.0)
-        assert (a ** Fraction(1, 2)).to_float() == pytest.approx(math.sqrt(6))
+        assert float(a * b) == pytest.approx(24.0)
+        assert float(a / b) == pytest.approx(1.5)
+        assert float(a ** 3) == pytest.approx(216.0)
+        assert float(a ** Fraction(1, 2)) == pytest.approx(math.sqrt(6))
 
     def test_negative_sign_rules(self):
         a = LogNum.from_int(-3)
-        assert (a * a).to_float() == pytest.approx(9.0)
-        assert (a ** 3).to_float() == pytest.approx(-27.0)
-        assert (a ** 2).to_float() == pytest.approx(9.0)
+        assert float(a * a) == pytest.approx(9.0)
+        assert float(a ** 3) == pytest.approx(-27.0)
+        assert float(a ** 2) == pytest.approx(9.0)
         with pytest.raises(ValueError):
             a ** 0.5
 
@@ -50,7 +50,7 @@ class TestArithmetic:
         for _ in range(200):
             x = rng.uniform(-50, 50)
             y = rng.uniform(-50, 50)
-            got = (LogNum.from_real(x) + LogNum.from_real(y)).to_float()
+            got = float(LogNum.from_real(x) + LogNum.from_real(y))
             assert got == pytest.approx(x + y, rel=1e-12, abs=1e-12)
 
     def test_subtraction_cancel(self):
@@ -58,7 +58,7 @@ class TestArithmetic:
         assert (a - 7).sign == 0
 
     def test_addition_huge_scale(self):
-        a = LogNum.from_log2(10**6)
+        a = LogNum(1, 10**6)
         b = LogNum.one()
         s = a + b
         assert s.log2 == a.log2  # the tiny summand vanishes, stably
@@ -82,8 +82,8 @@ class TestArithmetic:
             hash(LogNum.from_int(4))
 
     def test_exp_of(self):
-        assert LogNum.exp_of(1).to_float() == pytest.approx(math.e)
-        assert LogNum.exp_of(-2).to_float() == pytest.approx(math.exp(-2))
+        assert float(LogNum.exp_of(1)) == pytest.approx(math.e)
+        assert float(LogNum.exp_of(-2)) == pytest.approx(math.exp(-2))
 
 
 class TestFloorLog:
@@ -109,7 +109,7 @@ class TestFloorLog:
         assert abs(s - k_const * math.log2(2592)) < 1
 
     def test_log2_value(self):
-        assert log2_value(2592).to_float() == pytest.approx(math.log2(2592))
+        assert float(log2_value(2592)) == pytest.approx(math.log2(2592))
 
     def test_precision_independence(self):
         with workprec(53):

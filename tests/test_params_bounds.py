@@ -180,7 +180,7 @@ class TestFkgBound:
     def test_tends_to_one_for_tiny_p(self):
         bound = fkg_girth_bound(40, Fraction(1, 10**9), 6)
         assert bound.product <= 1
-        assert bound.product.to_float() == pytest.approx(1.0, abs=1e-6)
+        assert float(bound.product) == pytest.approx(1.0, abs=1e-6)
 
     def test_single_factor_k4(self):
         n, p = 20, Fraction(1, 5)

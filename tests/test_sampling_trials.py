@@ -25,6 +25,7 @@ from ramseykit.sampling import (
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 from ramseykit.trials import (
+    ExperimentRecord,
     TrialConfig,
     _ap_system_of_subset,
     run_trials,
@@ -209,6 +210,16 @@ class TestRunTrials:
         # before the batch starts, not as one error record per trial
         with pytest.raises(InputError, match=r"must lie in \[0, 1\]"):
             self.config(**{"n": 100, "scale_c": None, **kw})
+
+    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_cap_rejected(self, cap):
+        with pytest.raises(InputError, match="deletion cap"):
+            self.config(deletion_cap=cap)
+
+    def test_record_line_is_never_non_json(self):
+        record = ExperimentRecord(type="summary", config={"p": float("nan")})
+        with pytest.raises(ValueError):
+            record.to_line()
 
     @pytest.mark.parametrize("kw", [
         *GOLDEN_CONFIGS.values(),
