@@ -78,6 +78,7 @@ from .search import (
     FactViolationError,
     NumberResult,
     SearchBudget,
+    fact_vdw_branch,
     fact_vdw_check,
     ramsey_decide,
     ramsey_number,

@@ -53,6 +53,7 @@ from .search import (
     EXACT,
     LOWER_BOUND_ONLY,
     FactViolationError,
+    fact_vdw_branch,
     fact_vdw_check,
     ramsey_decide,
     ramsey_number,
@@ -516,11 +517,9 @@ def cmd_fact_vdw(ns) -> int:
     tallies = {"first": 0, "second": 0, "both": 0}
     violations = 0
     for _ in range(ns.random):
-        col = Colouring({i: rng.randint(1, ns.r + 1)
-                         for i in range(1, ns.n + 1)}, ns.r + 1)
+        colours = {i: rng.randint(1, ns.r + 1) for i in range(1, ns.n + 1)}
         try:
-            res = fact_vdw_check(col, ns.k, ns.r, ns.W)
-            tallies[res.branch] += 1
+            tallies[fact_vdw_branch(colours, ns.k, ns.r, ns.W)] += 1
         except FactViolationError:
             violations += 1
     emit(ns, "fact-vdw", {**config, "random": ns.random, "seed": seed},

@@ -10,7 +10,8 @@ every size it decides from the one `SearchBudget` it is handed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import accumulate
+from typing import Callable, Iterator, Sequence
 
 from .colouring import (
     ARROWS,
@@ -110,24 +111,62 @@ class FactCheckResult:
     last_threshold: float  # n / (4 W)
 
 
-def count_monochromatic_aps(masks: Sequence[int], n: int, k: int,
-                            max_colour: int) -> int:
-    """Monochromatic k-term APs of {1..n} in colours 1..max_colour.
+def _mono_counts(masks: Sequence[int], n: int, k: int,
+                 max_colour: int) -> Iterator[int]:
+    """Monochromatic k-APs of {1..n} per colour 1..max_colour, d = 1, 2, ...
 
-    `masks[c]` has bit v set for each element v of {1..n} of colour c
-    (masks[0] is not read).  For a common difference d, bit a of
+    `masks[c]` has bit v set for each element v of colour c.  Bit a of
     m & m>>d & ... & m>>(k-1)d is set exactly when a, a+d, ..., a+(k-1)d
-    all carry the colour, so counting bits gives the exact total.
-    """
-    total = 0
-    for c in range(1, max_colour + 1):
-        m = masks[c]
-        for d in range(1, (n - 1) // (k - 1) + 1):
+    all carry the colour."""
+    for d in range(1, (n - 1) // (k - 1) + 1):
+        for m in masks[1:max_colour + 1]:
             run = m
             for t in range(1, k):
                 run &= m >> (t * d)
-            total += run.bit_count()
-    return total
+            yield run.bit_count()
+
+
+def count_monochromatic_aps(masks: Sequence[int], n: int, k: int,
+                            max_colour: int) -> int:
+    """Monochromatic k-term APs of {1..n} in colours 1..max_colour."""
+    return sum(_mono_counts(masks, n, k, max_colour))
+
+
+def _fact_setup(colours, k: int, r: int, w: int):
+    """(masks, n, ap_count(n, k), last class size) of a valid colouring."""
+    if r < 1:
+        raise InputError(f"need a colour before the last one, got r={r}")
+    mapping = colours.colours if hasattr(colours, "colours") else dict(colours)
+    n = len(mapping)
+    if set(mapping) != set(range(1, n + 1)):
+        raise InputError("colouring must cover an interval {1..n} totally")
+    for c in mapping.values():
+        if not 1 <= c <= r + 1:
+            raise InputError(f"colour {c} outside 1..{r + 1}")
+    long_aps = ap_count_formula(n, w) if n >= w else 0
+    if 2 * w * long_aps < n * n:
+        raise InputError(
+            f"interval too short for the dichotomy: {long_aps} {w}-term APs "
+            f"in {{1..{n}}} but the argument needs at least n^2/(2W) = "
+            f"{n * n / (2 * w):.0f}")
+    ap_total = ap_count_formula(n, k)
+    # element n first, so a colour's mask is one base-2 parse, not n ORs
+    row = "".join(map(chr, map(mapping.__getitem__, range(n, 0, -1))))
+    zeros = dict.fromkeys(range(1, r + 2), "0")
+    masks = [0, *(int(row.translate({**zeros, c: "1"}) + "0", 2)
+                  for c in range(1, r + 2))]
+    return masks, n, ap_total, masks[r + 1].bit_count()
+
+
+def _branch(mono: int, ap_total: int, last_size: int, n: int, w: int) -> str:
+    first, second = mono * w**3 > ap_total, 4 * w * last_size > n
+    if not (first or second):
+        raise FactViolationError(
+            f"neither branch holds: {mono} monochromatic APs "
+            f"(threshold {ap_total / w**3:.2f}), last colour class "
+            f"{last_size} (threshold {n / (4 * w):.2f})")
+    return (BOTH_BRANCHES if first and second
+            else FIRST_BRANCH if first else SECOND_BRANCH)
 
 
 def fact_vdw_check(colours, k: int, r: int, w: int) -> FactCheckResult:
@@ -139,37 +178,17 @@ def fact_vdw_check(colours, k: int, r: int, w: int) -> FactCheckResult:
     at least n^2/(2W) W-term APs; shorter intervals are refused outright
     rather than guessed at.  W itself is taken as given.
     """
-    mapping = colours.colours if hasattr(colours, "colours") else dict(colours)
-    n = len(mapping)
-    if set(mapping) != set(range(1, n + 1)):
-        raise InputError("colouring must cover an interval {1..n} totally")
-    masks = [0] * (r + 2)
-    for v, c in mapping.items():
-        if not 1 <= c <= r + 1:
-            raise InputError(f"colour {c} outside 1..{r + 1}")
-        masks[c] |= 1 << v
-    long_aps = ap_count_formula(n, w) if n >= w else 0
-    if 2 * w * long_aps < n * n:
-        raise InputError(
-            f"interval too short for the dichotomy: {long_aps} {w}-term APs "
-            f"in {{1..{n}}} but the argument needs at least n^2/(2W) = "
-            f"{n * n / (2 * w):.0f}")
-
+    masks, n, ap_total, last_size = _fact_setup(colours, k, r, w)
     mono = count_monochromatic_aps(masks, n, k, r)
-    last_size = masks[r + 1].bit_count()
-    ap_total = ap_count_formula(n, k)
-    first = mono * w**3 > ap_total
-    second = 4 * w * last_size > n
-    if first and second:
-        branch = BOTH_BRANCHES
-    elif first:
-        branch = FIRST_BRANCH
-    elif second:
-        branch = SECOND_BRANCH
-    else:
-        raise FactViolationError(
-            f"neither branch holds: {mono} monochromatic APs "
-            f"(threshold {ap_total / w**3:.2f}), last colour class "
-            f"{last_size} (threshold {n / (4 * w):.2f})")
-    return FactCheckResult(branch, mono, ap_total / w**3, last_size,
-                           n / (4 * w))
+    return FactCheckResult(_branch(mono, ap_total, last_size, n, w), mono,
+                           ap_total / w**3, last_size, n / (4 * w))
+
+
+def fact_vdw_branch(colours, k: int, r: int, w: int) -> str:
+    """`fact_vdw_check(colours, k, r, w).branch`, counting monochromatic
+    APs only until the first disjunct holds: the count never falls."""
+    masks, n, ap_total, last_size = _fact_setup(colours, k, r, w)
+    for mono in accumulate(_mono_counts(masks, n, k, r), initial=0):
+        if mono * w**3 > ap_total:
+            break
+    return _branch(mono, ap_total, last_size, n, w)

@@ -63,6 +63,9 @@ class TrialConfig:
         p = self.resolved_p()
         if not 0 <= p <= 1:
             raise InputError(f"probability must lie in [0, 1], got {p}")
+        if (g := self.resolved_g()) < 2 or self.r < 1:
+            raise InputError(
+                f"need g >= 2 and r >= 1, got g={g} and r={self.r}")
         if not 0 <= (cap := self.resolved_cap()) < float("inf"):  # NaN fails
             raise InputError(f"need a finite deletion cap >= 0, got {cap}")
 

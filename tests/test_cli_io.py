@@ -466,6 +466,13 @@ class TestRejectedFlags:
         (["fact7", "-n", "5", "-r", "0", "-k", "2", "--ex-low", "1",
           "--ex-high", "1"], "r=0"),
         (["fbounds", "-k", "4", "-r", "2", "-R", "3"], "R=3"),
+        ([*FACT_VDW[:6], "0", "-W", "9", "--random", "1", "--seed", "1"],
+         "r=0"),
+        ([*FACT_VDW[:6], "0", "-W", "9", "--colouring", "c.txt"], "r=0"),
+        ([*TRIALS, "ap", "-n", "30", "-k", "3", "-p", "0.3", "-g", "1"],
+         "g=1"),
+        ([*TRIALS, "ap", "-n", "30", "-k", "3", "-p", "0.3", "-r", "0",
+          "--search-budget", "5"], "r=0"),
     ])
     def test_flag_or_value_that_does_nothing(self, capsys, tmp_path,
                                              monkeypatch, argv, flag):
@@ -591,6 +598,20 @@ class TestTrialsCli:
     def test_verify_rejects_a_record_without_config(self, capsys, tmp_path):
         err = self.verify_first_line(capsys, tmp_path, '{"type": "trial"}')
         assert err == "record has no 'config' field\n"
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("g", 1, "need g >= 2 and r >= 1, got g=1 and r=2"),
+        ("r", 0, "need g >= 2 and r >= 1, got g=4 and r=0"),
+    ])
+    def test_verify_rejects_a_config_the_batch_refuses(self, capsys, tmp_path,
+                                                       key, value, message):
+        out = tmp_path / "r.jsonl"
+        dispatch(self.args(out))
+        capsys.readouterr()
+        record = json.loads(out.read_text().splitlines()[0])
+        record["config"][key] = value
+        err = self.verify_first_line(capsys, tmp_path, json.dumps(record))
+        assert err == f"malformed record: {message}\n"
 
     def test_verify_rejects_a_config_without_an_echo_key(self, capsys,
                                                          tmp_path):

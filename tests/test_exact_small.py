@@ -3,16 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramseykit.colouring import ARROWS, BUDGET_EXCEEDED, NOT_ARROWS, Colouring, verify_colouring
 from ramseykit.extremal import extremal_ex, fact7_premise
 from ramseykit.fbounds import f_bound_report, moore_lower_bound
 from ramseykit.graphs import InputError, complete_graph, graph_girth
-from ramseykit.hypergraphs import system_of_copies
+from ramseykit.hypergraphs import arithmetic_progressions, system_of_copies
 from ramseykit.search import (
     EXACT,
     LOWER_BOUND_ONLY,
+    FactViolationError,
     SearchBudget,
+    count_monochromatic_aps,
+    fact_vdw_branch,
     fact_vdw_check,
     ramsey_decide,
     ramsey_number,
@@ -109,23 +113,111 @@ class TestFactCheck:
         res = fact_vdw_check(col, 3, 2, 9)
         assert res.branch in ("first", "second", "both")
 
-    def test_mono_count_against_bruteforce(self):
-        rng = random.Random(2)
-        n = 60
-        for _ in range(20):
-            values = [rng.randint(1, 3) for _ in range(n)]
-            col = self.colouring_of(values)
-            masks = [0] * 4
-            for v, c in col.colours.items():
-                masks[c] |= 1 << v
-            brute = 0
-            for e in system_of_copies("ap", n, 3).edges:
-                cs = {values[v - 1] for v in e}
-                if len(cs) == 1 and values[e[0] - 1] <= 2:
-                    brute += 1
-            from ramseykit.search import count_monochromatic_aps
+    @staticmethod
+    def masks_of(values, colours):
+        # one OR per element: the reference for the base-2 masks
+        masks = [0] * (colours + 1)
+        for v, c in enumerate(values, start=1):
+            masks[c] |= 1 << v
+        return masks
 
-            assert count_monochromatic_aps(masks, n, 3, 2) == brute
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([3, 4, 5]), st.integers(1, 3), st.data())
+    def test_mono_count_against_bruteforce(self, k, r, data):
+        values = data.draw(st.lists(st.integers(1, r + 1), max_size=60))
+        n = len(values)
+        brute = sum(1 for ap in arithmetic_progressions(n, k)
+                    if len({values[v - 1] for v in ap}) == 1
+                    and values[ap[0] - 1] <= r)
+        masks = self.masks_of(values, r + 1)
+        assert count_monochromatic_aps(masks, n, k, r) == brute
+
+    @staticmethod
+    def outcomes(colouring, k, r, w):
+        """(check, branch) outcomes: the branch or the violation message."""
+        out = []
+        for decide in (lambda *a: fact_vdw_check(*a).branch, fact_vdw_branch):
+            try:
+                out.append(decide(colouring, k, r, w))
+            except FactViolationError as exc:
+                out.append(f"FactViolationError: {exc}")
+        return out
+
+    def test_branch_agrees_with_check_on_random_colourings(self):
+        rng = random.Random(14)
+        seen = set()
+        for _ in range(200):
+            k, r, w = rng.choice([3, 4]), rng.randint(1, 3), rng.choice([9, 35])
+            n = rng.randint(40 * w, 60 * w)  # long enough for W
+            # a light last colour, so that some colourings miss the second
+            # branch and rest on the first
+            last = rng.choice([0.0, 0.01, 1 / (r + 1), 0.95])
+            values = [r + 1 if rng.random() < last else rng.randint(1, r)
+                      for _ in range(n)]
+            col = self.colouring_of(values)
+            res = fact_vdw_check(col, k, r, w)
+            assert fact_vdw_branch(col, k, r, w) == res.branch
+            masks = self.masks_of(values, r + 1)
+            assert res.mono_count == count_monochromatic_aps(masks, n, k, r)
+            assert res.last_class_size == values.count(r + 1)
+            seen.add(res.branch)
+        assert seen == {"first", "second", "both"}
+
+    def test_first_branch_threshold_from_both_sides(self):
+        # residues mod 30 wear colours 1..30, so only differences divisible
+        # by 30 give monochromatic 3-APs: too few for the first branch at
+        # W=3, and colour 30 is too light for the second.  Moving elements
+        # into colour 1 one at a time then crosses the first threshold.
+        n, k, r, w = 600, 3, 29, 3
+        values = [v % 30 or 30 for v in range(1, n + 1)]
+        ap_total = len(arithmetic_progressions(n, k))
+        below = None
+        for v in range(2, n + 1):
+            if values[v - 1] in (1, 30):
+                continue
+            mono = count_monochromatic_aps(self.masks_of(values, 30), n, k, r)
+            if mono * w**3 > ap_total:
+                break
+            below = list(values)
+            values[v - 1] = 1
+        for col, expected in [
+            (self.colouring_of(below), "FactViolationError: neither branch"),
+            (self.colouring_of(values), "first"),
+        ]:
+            check, branch = self.outcomes(col, k, r, w)
+            assert check == branch
+            assert branch.startswith(expected)
+
+    def test_neither_branch_raises_the_same_message(self):
+        for col, k, r, w in [
+            (self.colouring_of([v % 30 or 30 for v in range(1, 601)]),
+             3, 29, 3),
+            ({}, 3, 2, 9),
+        ]:
+            check, branch = self.outcomes(col, k, r, w)
+            assert check == branch
+            assert branch.startswith("FactViolationError: neither branch")
+
+    @staticmethod
+    def but(bad):
+        """{1..300} in colour 2, except `bad`, first in mapping order."""
+        return {**bad, **{v: 2 for v in range(1, 301) if v not in bad}}
+
+    @pytest.mark.parametrize("colours,message", [
+        ({1: 1, 3: 2}, "colouring must cover an interval {1..n} totally"),
+        ({v: 1 for v in range(2, 302)},
+         "colouring must cover an interval {1..n} totally"),
+        # the first bad vertex in mapping order names the colour
+        (but({250: 0, 7: 4}), "colour 0 outside 1..3"),
+        (but({9: -1, 3: 256}), "colour -1 outside 1..3"),
+        (but({3: 256, 9: -1}), "colour 256 outside 1..3"),
+        (but({300: 4, 1: 0}), "colour 4 outside 1..3"),
+    ])
+    @pytest.mark.parametrize("decide", [fact_vdw_check, fact_vdw_branch])
+    def test_colouring_errors(self, decide, colours, message):
+        with pytest.raises(InputError) as exc:
+            decide(colours, 3, 2, 9)
+        assert str(exc.value) == message
 
     def test_interval_too_short_refused(self):
         col = Colouring({i: 1 for i in range(1, 31)}, 3)

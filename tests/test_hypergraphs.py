@@ -78,6 +78,13 @@ class TestApCount:
             assert ap_count_formula(n, k) == brute_force_ap_count(n, k)
             assert ap_count_formula(n, k) == len(arithmetic_progressions(n, k))
 
+    def test_matches_the_sum_over_starts(self):
+        # start i has floor((n-i)/(k-1)) differences
+        cases = [(n, k) for n in range(-2, 301) for k in range(3, 9)]
+        for n, k in [*cases, (10**5, 3), (10**5, 4), (10**6, 3), (10**6, 7)]:
+            starts = sum((n - i) // (k - 1) for i in range(1, n - k + 2))
+            assert ap_count_formula(n, k) == starts, (n, k)
+
     def test_matches_system_size(self):
         for n, k in [(30, 3), (25, 4), (40, 5)]:
             assert ap_count_formula(n, k) == system_of_copies("ap", n, k).num_edges

@@ -211,6 +211,16 @@ class TestRunTrials:
         with pytest.raises(InputError, match=r"must lie in \[0, 1\]"):
             self.config(**{"n": 100, "scale_c": None, **kw})
 
+    @pytest.mark.parametrize("kw,message", [
+        (dict(g=1), "got g=1 and r=2"),
+        (dict(theorem="cliques", g=-3), "got g=-3 and r=2"),
+        (dict(r=0), "got g=4 and r=0"),
+        (dict(r=-1, search_budget=5), "got g=4 and r=-1"),
+    ])
+    def test_girth_below_2_or_no_colour_rejected(self, kw, message):
+        with pytest.raises(InputError, match=message):
+            self.config(**kw)
+
     @pytest.mark.parametrize("cap", [float("nan"), float("inf"), -1.0])
     def test_non_finite_or_negative_cap_rejected(self, cap):
         with pytest.raises(InputError, match="deletion cap"):
