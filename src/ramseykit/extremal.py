@@ -1,14 +1,16 @@
 """Maximum edge counts of graphs avoiding all short cycle lengths.
 
 Branch and bound over the lexicographic edge slots of the complete graph.
-Adding an edge is allowed only when the current endpoint distance is large
-enough that no forbidden cycle closes; subtrees that cannot beat the
-incumbent are cut; and only graphs whose final degree sequence is
-non-increasing along the vertex order are explored (every graph has such a
-relabelling, so the maximum is preserved while isomorphic duplicates are
-skipped).  Correctness over speed: no automorphism machinery.  The search
-draws on a started `SearchBudget`, which callers may share with other
-searches.
+An edge is added only when the current endpoint distance is large enough
+that no forbidden cycle closes, and only graphs with deg(0) >= ... >=
+deg(n-3) are explored: every graph has such a relabelling, so the maximum
+is kept.  ex(n) is decided after ex(0..n-1), which bound it.  The search
+stops at n*ex(n-1)/(n-2), as each edge lies in n-2 of the n vertex-deleted
+subgraphs, and at slot (u, v) it cuts when the edges chosen, n-v more in
+u's block (fewer if deg(u) would pass deg(u-1)) and ex(n-u-1) among
+u+1..n-1 cannot beat the incumbent.  Correctness over speed: no
+automorphism machinery.  The search draws on a started `SearchBudget`,
+which callers may share with other searches.
 """
 
 from __future__ import annotations
@@ -51,52 +53,47 @@ def _bfs_distance_at_least(adj: list[list[int]], u: int, v: int,
     return True
 
 
-def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
-                ) -> ExtremalResult:
-    """Exact max edge count of an n-vertex graph with no cycle of a
-    forbidden length, together with a witness.
-
-    `forbidden` must be the contiguous range {3, ..., m}; the search then
-    looks for the densest graph of girth at least m+1.  `budget` is charged
-    the nodes spent; once it is exhausted the search returns the best graph
-    found so far, marked lower-bound-only.
+def _search(n: int, m: int, ex: list[int], seed: list[tuple[int, int]],
+            budget: SearchBudget) -> tuple[list[tuple[int, int]], int, bool]:
+    """The densest girth-(m+1) graph on n vertices found, the nodes spent
+    and whether `budget` ran out before the search ended; if it did not,
+    the graph is the first densest in search order.  `ex` holds ex(j) for
+    j < n, and `seed`, a graph on fewer vertices, is the incumbent to beat.
     """
-    forb = sorted(set(forbidden))
-    if not forb or forb != list(range(3, forb[-1] + 1)):
-        raise InputError(f"forbidden lengths must form {{3..m}}, got {forb}")
-    m = forb[-1]
-    if n < 0:
-        raise InputError("vertex count must be non-negative")
     slots = list(combinations(range(n), 2))
     total = len(slots)
-
-    budget = budget or SearchBudget()
+    upper = n * ex[n - 1] // (n - 2) if n >= 3 else None
     adj: list[list[int]] = [[] for _ in range(n)]
     degree = [0] * n
     chosen: list[tuple[int, int]] = []
-    best_edges = 0  # the empty graph has no cycle at all
-    best_graph: list[tuple[int, int]] = []
+    best = seed
     nodes = 0
-    ran_out = False
+    stop = ran_out = False
 
     def search(idx: int):
-        nonlocal best_edges, best_graph, nodes, ran_out
-        if ran_out or budget.exhausted(nodes):
-            ran_out = True
+        nonlocal best, nodes, stop, ran_out
+        if stop:
+            return
+        if budget.exhausted(nodes):
+            stop = ran_out = True
             return
         nodes += 1
-        if len(chosen) + (total - idx) <= best_edges:
-            return  # cannot beat the incumbent
         if idx == total:
-            if len(chosen) > best_edges:
-                best_edges = len(chosen)
-                best_graph = list(chosen)
+            if len(chosen) > len(best):
+                best = list(chosen)
+                stop = len(best) == upper
             return
         u, v = slots[idx]
         if idx > 0 and slots[idx - 1][0] != u and u >= 2:
             # block u-1 just finished; its degree is final now
             if degree[u - 1] > degree[u - 2]:
                 return
+        block = n - v  # edges still to come in u's block
+        if 1 <= u <= n - 3:
+            # deg(u) <= deg(u-1) is checked at block u+1; negative if passed
+            block = min(block, degree[u - 1] - degree[u])
+        if block < 0 or len(chosen) + block + ex[n - u - 1] <= len(best):
+            return  # cannot beat the incumbent
         # include the edge when no forbidden cycle closes: a new cycle
         # through (u, v) has length dist(u, v) + 1 > m
         if _bfs_distance_at_least(adj, u, v, m):
@@ -114,9 +111,40 @@ def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
         search(idx + 1)
 
     search(0)
-    budget.charge(nodes)
+    return best, nodes, ran_out
+
+
+def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
+                ) -> ExtremalResult:
+    """Exact max edge count of an n-vertex graph with no cycle of a
+    forbidden length, together with a witness.
+
+    `forbidden` must be the contiguous range {3, ..., m}; the search then
+    looks for the densest graph of girth at least m+1.  It decides ex(j)
+    for j = 0, 1, ..., n in turn, each search bounded by the smaller ones,
+    and `nodes` counts them all.  `budget` is charged the nodes spent; once
+    it is exhausted the search returns the densest graph found so far, on
+    n vertices, marked lower-bound-only.
+    """
+    forb = sorted(set(forbidden))
+    if not forb or forb != list(range(3, forb[-1] + 1)):
+        raise InputError(f"forbidden lengths must form {{3..m}}, got {forb}")
+    m = forb[-1]
+    if n < 0:
+        raise InputError("vertex count must be non-negative")
+    budget = budget or SearchBudget()
+    ex: list[int] = []
+    best: list[tuple[int, int]] = []  # the empty graph has no cycle at all
+    nodes = 0
+    for j in range(n + 1):
+        best, spent, ran_out = _search(j, m, ex, best, budget)
+        budget.charge(spent)
+        nodes += spent
+        if ran_out:
+            break
+        ex.append(len(best))
     status = LOWER_BOUND_ONLY if ran_out else EXACT
-    return ExtremalResult(status, best_edges, Graph(n, tuple(sorted(best_graph))),
+    return ExtremalResult(status, len(best), Graph(n, tuple(sorted(best))),
                           nodes)
 
 

@@ -50,6 +50,7 @@ COMMANDS = [
      "--budget-nodes", "20"],
     ["ramsey", "--kind", "clique", "-k", "2", "-r", "2", "-n", "1"],
     ["extremal", "-n", "7", "-m", "4"],
+    ["extremal", "-n", "10", "-m", "4"],
     ["extremal", "-n", "8", "-m", "4", "--budget-nodes", "5"],
     ["extremal", "-n", "9", "-m", "4", "--budget-nodes", "1000"],
     ["fact7", "-n", "5", "-r", "1", "-k", "2", "--search"],

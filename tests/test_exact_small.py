@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,6 +226,26 @@ class TestFactCheck:
             fact_vdw_check(col, 3, 2, 9)
 
 
+def _brute_force_ex(n: int) -> dict[int, int]:
+    """{m: ex(n; C3..Cm)} for m in 3..6, from every edge subset of K_n."""
+    bit = {e: 1 << i for i, e in enumerate(combinations(range(n), 2))}
+    girth = [math.inf] * (1 << len(bit))
+    for size in range(3, n + 1):
+        for first, *others in combinations(range(n), size):
+            for rest in permutations(others):
+                if rest[0] < rest[-1]:  # each cycle once
+                    walk = (first, *rest, first)
+                    mask = sum(bit[min(a, b), max(a, b)]
+                               for a, b in zip(walk, walk[1:]))
+                    girth[mask] = min(girth[mask], size)
+    for b in bit.values():  # a subset's girth is its least cycle's length
+        for mask in range(len(girth)):
+            if mask & b:
+                girth[mask] = min(girth[mask], girth[mask ^ b])
+    return {m: max(mask.bit_count() for mask, g in enumerate(girth) if g > m)
+            for m in range(3, 7)}
+
+
 class TestExtremal:
     def test_girth_5_on_5_vertices(self):
         res = extremal_ex(5, {3, 4})
@@ -233,7 +254,7 @@ class TestExtremal:
         assert graph_girth(res.witness) == 5  # the five-cycle
 
     def test_triangle_free_bipartite_maximum(self):
-        for n in range(3, 8):
+        for n in range(11):
             res = extremal_ex(n, {3})
             assert res.status == EXACT
             assert res.max_edges == n * n // 4
@@ -241,6 +262,29 @@ class TestExtremal:
 
     def test_tiny(self):
         assert extremal_ex(3, {3}).max_edges == 2
+
+    def test_girth_5_maxima_match_the_published_values(self):
+        # Garnick, Kwong and Lazebnik (J. Graph Theory 1993), n = 0..10
+        for n, value in enumerate((0, 0, 1, 2, 3, 5, 6, 8, 10, 12, 15)):
+            res = extremal_ex(n, {3, 4})
+            assert (res.status, res.max_edges) == (EXACT, value)
+            assert len(res.witness.edges) == value
+            assert graph_girth(res.witness) >= 5
+
+    def test_brute_force_over_every_edge_subset(self):
+        for n in range(7):
+            expected = _brute_force_ex(n)
+            for m in range(3, 7):
+                res = extremal_ex(n, set(range(3, m + 1)))
+                assert (res.status, res.max_edges) == (EXACT, expected[m])
+
+    def test_degree_order_leaves_the_last_two_vertices_free(self):
+        # deg(0) >= ... >= deg(n-3) is enforced, deg(n-2) and deg(n-1) not
+        res = extremal_ex(7, {3, 4})
+        assert res.witness.edges == ((0, 1), (0, 2), (0, 3), (1, 4), (2, 5),
+                                     (3, 6), (4, 5), (5, 6))
+        degree = [sum(v in e for e in res.witness.edges) for v in range(7)]
+        assert degree == [3, 2, 2, 2, 2, 3, 2]
 
     def test_monotonicity(self):
         values = {}
@@ -266,16 +310,33 @@ class TestExtremal:
         assert graph_girth(res.witness) > 3
 
     def test_node_budget_stops_the_search(self):
-        # the unbudgeted search needs over 300,000 nodes here
+        # the unbudgeted search needs 2,866 nodes here
         res = extremal_ex(8, {3, 4}, SearchBudget(node_limit=1000))
         assert res.status == LOWER_BOUND_ONLY
         assert res.nodes <= 1000
         assert graph_girth(res.witness) > 4
         assert res.max_edges == len(res.witness.edges)
-        # out of budget before the first leaf: the empty graph stands
+        # 5 nodes decide ex(0), ex(1) and ex(2): the one edge stands
         res = extremal_ex(8, {3, 4}, SearchBudget(node_limit=5))
         assert res.status == LOWER_BOUND_ONLY
-        assert res.max_edges == len(res.witness.edges) == 0
+        assert res.max_edges == len(res.witness.edges) == 1
+
+    def test_every_node_limit_is_exact_and_keeps_the_best_graph(self):
+        full = extremal_ex(8, {3, 4})
+        best = 0
+        for limit in range(0, 3001, 50):
+            budget = SearchBudget(node_limit=limit)
+            res = extremal_ex(8, {3, 4}, budget)
+            assert res.nodes <= limit
+            assert budget.remaining == limit - res.nodes
+            assert res.witness.n == 8
+            assert len(res.witness.edges) == res.max_edges
+            assert graph_girth(res.witness) >= 5
+            assert res.max_edges >= best
+            best = res.max_edges
+            if res.status == EXACT:
+                assert (res.witness, res.nodes) == (full.witness, full.nodes)
+        assert res.status == EXACT
 
     def test_shared_budget_is_charged(self):
         budget = SearchBudget(node_limit=100_000)
