@@ -3,9 +3,12 @@
 A colouring is proper when no hyperedge is monochromatic.  The search is
 exhaustive backtracking with colour-class canonicalisation (a vertex may
 open colour c+1 only if colours 1..c are already in use), so "uncolourable"
-is a proof by exhaustion.  No automorphism pruning is attempted.  Every
-exhaustive search of the toolkit draws on a started `SearchBudget`; searches
-handed the same budget object share it.
+is a proof by exhaustion.  Vertices take colours in universe order, so a
+hyperedge can only turn monochromatic when its last vertex is coloured; it
+is checked then, once, against a bitmask of the positions holding that
+colour.  No automorphism pruning is attempted.  Every exhaustive search of
+the toolkit draws on a started `SearchBudget`; searches handed the same
+budget object share it.
 """
 
 from __future__ import annotations
@@ -89,7 +92,10 @@ def colouring_search(hg: UniformHypergraph, r: int,
     """Find a proper r-colouring or prove none exists.
 
     Deterministic: vertices are branched in universe order, colours tried
-    ascending.  Each assignment attempt is a node.  The search stops when
+    ascending.  Each assignment attempt is a node; it fails when an edge
+    whose last vertex this is has all its other vertices in the colour's
+    mask.  An edge given with a repeated vertex counts each vertex once, so
+    one with a single vertex fails every colour.  The search stops when
     `budget` is exhausted, which yields BUDGET_EXCEEDED, never a wrong
     verdict; the attempts made are charged to it.
     """
@@ -99,68 +105,48 @@ def colouring_search(hg: UniformHypergraph, r: int,
     nv = len(order)
     if nv == 0:
         return SearchResult(PROPER, Colouring({}, r), 0)
-    edges_of = [hg.incidence[v] for v in order]
+    at = {v: pos for pos, v in enumerate(order)}
+    # closing[pos]: for each edge whose last vertex is at pos, the bitmask
+    # of the positions of its other vertices
+    closing: list[list[int]] = [[] for _ in order]
+    for e in hg.edges:
+        span = {at[v] for v in e}
+        last = max(span)
+        closing[last].append(sum(1 << p for p in span) - (1 << last))
     budget = budget or SearchBudget()
+    exhausted = budget.exhausted
 
-    uncol = [len(e) for e in hg.edges]
-    state = [0] * len(hg.edges)  # 0 none yet, -1 mixed, c>0 uniform colour c
-    assigned = [0] * nv
-    nodes = 0
-
-    def assign(pos: int, c: int):
-        """Apply colour c at pos; returns (ok, edges touched, state trail)."""
-        trail = []
-        elist = edges_of[pos]
-        for idx, ei in enumerate(elist):
-            uncol[ei] -= 1
-            s = state[ei]
-            if s == 0:
-                state[ei] = c
-                trail.append((ei, 0))
-            elif s > 0:
-                if s != c:
-                    state[ei] = -1
-                    trail.append((ei, s))
-                elif uncol[ei] == 0:
-                    return False, idx + 1, trail  # edge went monochromatic
-        return True, len(elist), trail
-
-    def undo(pos: int, processed: int, trail: list[tuple[int, int]]):
-        for ei in edges_of[pos][:processed]:
-            uncol[ei] += 1
-        for ei, old in trail:
-            state[ei] = old
-
-    # frame: [next colour to try, max colour used before this position,
-    #         (processed, trail) of the currently applied assignment or None]
-    stack: list[list] = [[1, 0, None]]
+    masks = [0] * (r + 1)  # masks[c]: the positions coloured c
+    assigned = [0] * nv  # colour tried last at each position, 0 for none
+    top = [0] * nv  # highest colour used before each position
+    nodes, pos = 0, 0
     status, colouring = UNCOLOURABLE, None
-    while stack:
-        frame = stack[-1]
-        pos = len(stack) - 1
-        if frame[2] is not None:
-            undo(pos, *frame[2])
-            frame[2] = None
-        c = frame[0]
-        if c > min(frame[1] + 1, r):
-            stack.pop()
+    while pos >= 0:
+        c = assigned[pos]
+        if c:
+            masks[c] ^= 1 << pos
+        if c > top[pos] or c == r:
+            assigned[pos] = 0
+            pos -= 1
             continue
-        frame[0] = c + 1
-        if budget.exhausted(nodes):
+        if exhausted(nodes):
             status = BUDGET_EXCEEDED
             break
         nodes += 1
-        ok, processed, trail = assign(pos, c)
-        if not ok:
-            undo(pos, processed, trail)
-            continue
+        c += 1
         assigned[pos] = c
-        if pos + 1 == nv:
-            status = PROPER
-            colouring = Colouring(dict(zip(order, assigned)), r)
-            break
-        frame[2] = (processed, trail)
-        stack.append([1, max(frame[1], c), None])
+        mask = masks[c]
+        masks[c] = mask | 1 << pos
+        for other in closing[pos]:
+            if mask & other == other:
+                break  # the edge closing here would be monochromatic
+        else:
+            if pos + 1 == nv:
+                status = PROPER
+                colouring = Colouring(dict(zip(order, assigned)), r)
+                break
+            pos += 1
+            top[pos] = c if c > top[pos - 1] else top[pos - 1]
     budget.charge(nodes)
     return SearchResult(status, colouring, nodes)
 

@@ -120,7 +120,9 @@ def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
     forbidden length, together with a witness.
 
     `forbidden` must be the contiguous range {3, ..., m}; the search then
-    looks for the densest graph of girth at least m+1.  It decides ex(j)
+    looks for the densest graph of girth at least m+1.  When m >= n every
+    cycle is forbidden, and the answer is the star with n-1 edges, given
+    without a search and with 0 nodes.  Otherwise it decides ex(j)
     for j = 0, 1, ..., n in turn, each search bounded by the smaller ones,
     and `nodes` counts them all.  `budget` is charged the nodes spent; once
     it is exhausted the search returns the densest graph found so far, on
@@ -132,6 +134,9 @@ def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
     m = forb[-1]
     if n < 0:
         raise InputError("vertex count must be non-negative")
+    if m >= n:  # no cycle fits: the densest graphs are the trees, a star one
+        star = tuple((0, v) for v in range(1, n))
+        return ExtremalResult(EXACT, len(star), Graph(n, star), 0)
     budget = budget or SearchBudget()
     ex: list[int] = []
     best: list[tuple[int, int]] = []  # the empty graph has no cycle at all

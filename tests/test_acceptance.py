@@ -9,11 +9,11 @@ criterion it belongs to.
 import math
 import statistics
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-import numpy as np
 import pytest
 from mpmath import mp, workprec
 
@@ -95,17 +95,22 @@ def test_criterion_2_ap_count_identity():
 
 
 def _max_pair_degree_oracle(n: int, k: int) -> int:
-    """Vectorised independent count: max APs through any vertex pair."""
-    codes = []
+    """Independent count: max APs through any vertex pair.
+
+    The APs of difference d put their terms i < j on the pairs (x, x + gap),
+    gap = (j-i)*d, for x from 1 + i*d to n - (k-1-i)*d.  So the degrees of
+    the pairs at one gap are a sum of intervals, swept here in x order from
+    a Counter of the intervals' ends."""
+    ends = Counter()
     for d in range(1, (n - 1) // (k - 1) + 1):
-        length = n - (k - 1) * d
-        starts = np.arange(1, length + 1, dtype=np.int64) * (n + 2)
         for i, j in combinations(range(k), 2):
-            codes.append(starts + d * (i * (n + 1) + j))
-    if not codes:
-        return 0
-    flat = np.concatenate(codes)
-    return int(np.bincount(flat, minlength=(n + 1) * (n + 2)).max())
+            ends[(j - i) * d, 1 + i * d] += 1
+            ends[(j - i) * d, n - (k - 1 - i) * d + 1] -= 1
+    best = degree = 0
+    for _, change in sorted(ends.items()):  # each gap's changes sum to 0
+        degree += change
+        best = max(best, degree)
+    return best
 
 
 def test_criterion_3_degree_identities():

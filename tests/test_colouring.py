@@ -16,7 +16,7 @@ from ramseykit.colouring import (
     verify_colouring,
 )
 from ramseykit.graphs import InputError, complete_graph, count_graph_cycles, graph_from_edges
-from ramseykit.hypergraphs import hypergraph_from_edges, system_of_copies
+from ramseykit.hypergraphs import UniformHypergraph, hypergraph_from_edges, system_of_copies
 
 
 def naive_colourable(hg, r: int) -> bool:
@@ -27,6 +27,87 @@ def naive_colourable(hg, r: int) -> bool:
         if all(len({col[v] for v in e}) > 1 for e in hg.edges):
             return True
     return len(hg.edges) == 0 or False
+
+
+def _edge_walk_search(hg, r: int, budget=None):
+    """Reference search in the order of `colouring_search`, by another
+    method: each assignment visits every edge at its vertex and keeps, per
+    edge, the vertices still uncoloured and whether its colours are uniform,
+    undoing both from a trail.  Returns (status, nodes, witness colours or
+    None)."""
+    order = list(hg.universe)
+    nv = len(order)
+    if nv == 0:
+        return PROPER, 0, {}
+    edges_of = [hg.incidence[v] for v in order]
+    budget = budget or SearchBudget()
+    uncol = [len(e) for e in hg.edges]
+    state = [0] * len(hg.edges)  # 0 none yet, -1 mixed, c>0 uniform colour c
+    assigned = [0] * nv
+    nodes = 0
+
+    def assign(pos, c):
+        trail = []
+        elist = edges_of[pos]
+        for idx, ei in enumerate(elist):
+            uncol[ei] -= 1
+            s = state[ei]
+            if s == 0:
+                state[ei] = c
+                trail.append((ei, 0))
+            elif s > 0:
+                if s != c:
+                    state[ei] = -1
+                    trail.append((ei, s))
+                elif uncol[ei] == 0:
+                    return False, idx + 1, trail
+        return True, len(elist), trail
+
+    def undo(pos, processed, trail):
+        for ei in edges_of[pos][:processed]:
+            uncol[ei] += 1
+        for ei, old in trail:
+            state[ei] = old
+
+    stack = [[1, 0, None]]
+    status, colours = UNCOLOURABLE, None
+    while stack:
+        frame = stack[-1]
+        pos = len(stack) - 1
+        if frame[2] is not None:
+            undo(pos, *frame[2])
+            frame[2] = None
+        c = frame[0]
+        if c > min(frame[1] + 1, r):
+            stack.pop()
+            continue
+        frame[0] = c + 1
+        if budget.exhausted(nodes):
+            status = BUDGET_EXCEEDED
+            break
+        nodes += 1
+        ok, processed, trail = assign(pos, c)
+        if not ok:
+            undo(pos, processed, trail)
+            continue
+        assigned[pos] = c
+        if pos + 1 == nv:
+            status = PROPER
+            colours = dict(zip(order, assigned))
+            break
+        frame[2] = (processed, trail)
+        stack.append([1, max(frame[1], c), None])
+    budget.charge(nodes)
+    return status, nodes, colours
+
+
+def _outcome(hg, r, limit=None):
+    res = colouring_search(hg, r, SearchBudget(node_limit=limit))
+    return res.status, res.nodes, res.witness and res.witness.colours
+
+
+def _oracle(hg, r, limit=None):
+    return _edge_walk_search(hg, r, SearchBudget(node_limit=limit))
 
 
 class TestVerify:
@@ -135,3 +216,60 @@ class TestArrows:
         assert arrows(9, "ap", 3, 2).status == ARROWS
         res = arrows(8, "ap", 3, 2)
         assert res.status == NOT_ARROWS
+
+
+class TestSameAsEdgeWalk:
+    """Status, nodes and witness equal the edge-walking search's."""
+
+    def test_random_hypergraphs(self):
+        rng = random.Random(16)
+        for _ in range(3000):
+            h = rng.randint(2, 4)
+            universe = sorted(rng.sample(range(40), rng.randint(h, 14)))
+            edges = {tuple(rng.sample(universe, h))
+                     for _ in range(rng.randint(0, 30))}
+            hg = hypergraph_from_edges(h, universe, edges)
+            r = rng.randint(1, 4)
+            limit = rng.choice([None, rng.randint(0, 40)])
+            assert _outcome(hg, r, limit) == _oracle(hg, r, limit)
+
+    def test_named_systems(self):
+        cases = [(system_of_copies("ap", n, k), r, 20_000)
+                 for n in range(1, 28) for k in (3, 4) for r in (2, 3)]
+        cases += [(system_of_copies(kind, complete_graph(n), k), r, 2000)
+                  for n in range(3, 9) for kind, k in
+                  (("clique", 3), ("cycle", 3), ("cycle", 4), ("cycle", 5))
+                  for r in (2, 3)]
+        for hg, r, limit in cases:
+            assert _outcome(hg, r, limit) == _oracle(hg, r, limit)
+
+    def test_edge_with_a_repeated_vertex(self):
+        # built directly, past the checks of hypergraph_from_edges: the edge
+        # is monochromatic once its two distinct vertices share a colour
+        hg = UniformHypergraph(3, (1, 2, 5), ((1, 1, 2), (2, 5, 5)))
+        for r in (1, 2, 3):
+            assert _outcome(hg, r) == _oracle(hg, r)
+        assert _outcome(hg, 2)[0] == PROPER
+        single = UniformHypergraph(2, (1, 2), ((2, 2),))
+        assert _outcome(single, 3) == _oracle(single, 3) == (UNCOLOURABLE, 3,
+                                                             None)
+
+
+class TestBudgetSemantics:
+    @pytest.mark.parametrize("hg, full", [
+        (system_of_copies("ap", 9, 3), 79),
+        (system_of_copies("clique", complete_graph(6), 3), 987),
+    ])
+    def test_every_node_limit(self, hg, full):
+        assert colouring_search(hg, 2).nodes == full
+        for limit in range(full + 1):
+            budget = SearchBudget(node_limit=limit)
+            res = colouring_search(hg, 2, budget)
+            assert res.nodes == min(limit, full)
+            assert (res.status == BUDGET_EXCEEDED) == (limit < full)
+            assert budget.remaining == limit - res.nodes
+
+    def test_out_of_time_stops_before_the_first_node(self):
+        res = colouring_search(system_of_copies("ap", 9, 3), 2,
+                               SearchBudget(wall_secs=-1))
+        assert (res.status, res.nodes) == (BUDGET_EXCEEDED, 0)

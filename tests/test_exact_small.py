@@ -351,11 +351,36 @@ class TestExtremal:
             assert res.nodes == 0
             assert res.max_edges == 0 and res.witness.edges == ()
 
+    def test_every_cycle_forbidden_leaves_the_star_at_once(self):
+        # the star is also the first densest graph in the search's order
+        for n in range(10):
+            star = tuple((0, v) for v in range(1, n))
+            for m in range(max(n, 3), n + 3):
+                res = extremal_ex(n, set(range(3, m + 1)),
+                                  SearchBudget(node_limit=0))
+                assert (res.status, res.max_edges, res.nodes) == (
+                    EXACT, max(n - 1, 0), 0)
+                assert res.witness.edges == star and res.witness.n == n
+
     def test_bad_forbidden_set(self):
         with pytest.raises(InputError):
             extremal_ex(5, {4})
         with pytest.raises(InputError):
             extremal_ex(5, {3, 5})
+
+
+class TestPublishedNumbers:
+    """Pinned with their node counts, so that a change to the search order
+    has to say so."""
+
+    def test_w_3_3(self):
+        res = vdw_number(3, 3)
+        assert (res.status, res.value, res.nodes) == (EXACT, 27, 392_514)
+
+    def test_r_c5_2(self):
+        # R(C5, C5) = 9: Radziszowski, Small Ramsey Numbers, EJC DS1
+        res = ramsey_number("cycle", 5, 2)
+        assert (res.status, res.value, res.nodes) == (EXACT, 9, 849_698)
 
 
 class TestSharedBudget:
