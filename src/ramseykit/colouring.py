@@ -105,14 +105,16 @@ def colouring_search(hg: UniformHypergraph, r: int,
     nv = len(order)
     if nv == 0:
         return SearchResult(PROPER, Colouring({}, r), 0)
-    at = {v: pos for pos, v in enumerate(order)}
+    bit = {v: 1 << pos for pos, v in enumerate(order)}
     # closing[pos]: for each edge whose last vertex is at pos, the bitmask
     # of the positions of its other vertices
     closing: list[list[int]] = [[] for _ in order]
     for e in hg.edges:
-        span = {at[v] for v in e}
-        last = max(span)
-        closing[last].append(sum(1 << p for p in span) - (1 << last))
+        mask = 0
+        for v in e:
+            mask |= bit[v]
+        last = mask.bit_length() - 1
+        closing[last].append(mask ^ 1 << last)
     budget = budget or SearchBudget()
     exhausted = budget.exhausted
 

@@ -62,7 +62,7 @@ def _search(n: int, m: int, ex: list[int], seed: list[tuple[int, int]],
     """
     slots = list(combinations(range(n), 2))
     total = len(slots)
-    upper = n * ex[n - 1] // (n - 2) if n >= 3 else None
+    upper = n * ex[n - 1] // (n - 2)
     adj: list[list[int]] = [[] for _ in range(n)]
     degree = [0] * n
     chosen: list[tuple[int, int]] = []
@@ -120,13 +120,13 @@ def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
     forbidden length, together with a witness.
 
     `forbidden` must be the contiguous range {3, ..., m}; the search then
-    looks for the densest graph of girth at least m+1.  When m >= n every
-    cycle is forbidden, and the answer is the star with n-1 edges, given
-    without a search and with 0 nodes.  Otherwise it decides ex(j)
-    for j = 0, 1, ..., n in turn, each search bounded by the smaller ones,
-    and `nodes` counts them all.  `budget` is charged the nodes spent; once
-    it is exhausted the search returns the densest graph found so far, on
-    n vertices, marked lower-bound-only.
+    looks for the densest graph of girth at least m+1.  It decides ex(j)
+    for j = 0, 1, ..., n in turn, each search bounded by the smaller ones
+    and seeded with the graph of the size before, and `nodes` counts them
+    all.  No cycle fits on j <= m vertices, so those sizes take the star
+    with max(j-1, 0) edges without a search.  `budget` is charged the nodes
+    spent; once it is exhausted the search returns the densest graph found
+    so far, on n vertices, marked lower-bound-only.
     """
     forb = sorted(set(forbidden))
     if not forb or forb != list(range(3, forb[-1] + 1)):
@@ -134,19 +134,19 @@ def extremal_ex(n: int, forbidden, budget: SearchBudget | None = None
     m = forb[-1]
     if n < 0:
         raise InputError("vertex count must be non-negative")
-    if m >= n:  # no cycle fits: the densest graphs are the trees, a star one
-        star = tuple((0, v) for v in range(1, n))
-        return ExtremalResult(EXACT, len(star), Graph(n, star), 0)
     budget = budget or SearchBudget()
     ex: list[int] = []
-    best: list[tuple[int, int]] = []  # the empty graph has no cycle at all
     nodes = 0
+    ran_out = False
     for j in range(n + 1):
-        best, spent, ran_out = _search(j, m, ex, best, budget)
-        budget.charge(spent)
-        nodes += spent
-        if ran_out:
-            break
+        if j <= m:  # no cycle fits: the densest graphs are the trees
+            best = [(0, v) for v in range(1, j)]
+        else:
+            best, spent, ran_out = _search(j, m, ex, best, budget)
+            budget.charge(spent)
+            nodes += spent
+            if ran_out:
+                break
         ex.append(len(best))
     status = LOWER_BOUND_ONLY if ran_out else EXACT
     return ExtremalResult(status, len(best), Graph(n, tuple(sorted(best))),

@@ -143,30 +143,33 @@ def enumerate_graph_cycles(g: Graph, length: int) -> Iterator[tuple[int, ...]]:
 
     Each cycle appears once: the tuple starts at its smallest vertex and the
     second entry is smaller than the last (kills rotation and reflection).
+    `free` masks the vertices past the start that are off the path; each
+    next vertex y is taken from `bits[last] & free`, ascending, and the
+    closing one, in the step that picks the y before it, from
+    `bits[y] & bits[start] & free` past path[1].
     """
     if length < 3 or length > g.n:
         return
-    adj = g.adjacency()
     bits = g.adjacency_bits()
     path = [0] * length
 
-    def extend(depth: int, used: int, start: int):
-        last = path[depth - 1]
-        if depth == length - 1:
-            # the closing vertex: adjacent to the start, past path[1]
-            for y in adj[last]:
-                if y > path[1] and bits[y] >> start & 1 and not used >> y & 1:
-                    path[depth] = y
-                    yield tuple(path)
-            return
-        for y in adj[last]:
-            if y > start and not used >> y & 1:
-                path[depth] = y
-                yield from extend(depth + 1, used | 1 << y, start)
+    def extend(depth: int, free: int):
+        cand = bits[path[depth - 1]] & free
+        while cand:
+            path[depth] = y = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            if depth < length - 2:
+                yield from extend(depth + 1, free ^ 1 << y)
+                continue
+            close = bits[y] & bits[path[0]] & free & -2 << path[1]
+            while close:
+                path[depth + 1] = (close & -close).bit_length() - 1
+                close &= close - 1
+                yield tuple(path)
 
     for start in range(g.n):
         path[0] = start
-        yield from extend(1, 1 << start, start)
+        yield from extend(1, -2 << start)
 
 
 def count_graph_cycles(g: Graph, length: int) -> int:

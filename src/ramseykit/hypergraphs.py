@@ -271,7 +271,9 @@ def enumerate_short_cycles(hg: UniformHypergraph, g: int) -> CycleReport:
     2-cycles are unordered edge pairs sharing at least two vertices.
     j-cycles (j >= 3) are counted up to rotation and reflection of the
     cyclic edge sequence: the stored tuple starts at the smallest edge
-    index and its second entry is smaller than its last.
+    index and its second entry is smaller than its last.  `near[e]` masks
+    the edges meeting e in one vertex: a path closes through `near[last] &
+    near[start]` past path[1], and grows through the neighbours of `last`.
     """
     bit = {v: 1 << i for i, v in enumerate(hg.universe)}
     masks = [sum(bit[v] for v in e) for e in hg.edges]
@@ -290,41 +292,43 @@ def enumerate_short_cycles(hg: UniformHypergraph, g: int) -> CycleReport:
                 neighbours[b].append(a)
             elif g > 2:
                 cycles.append((2, (a, b)))
-
     max_len = g - 1
 
     def extend(path: list[int], inner: int):
         # inner: the OR of the masks of path[1:-1], which nxt must miss
         start = path[0]
         last = path[-1]
-        start_mask = masks[start]
-        for nxt in neighbours[last]:
+        close = near[last] & near[start] & -2 << path[1]
+        while close:
+            nxt = ids[(close & -close).bit_length() - 1]
+            close &= close - 1
             nxt_mask = masks[nxt]
-            if nxt <= start or nxt_mask & inner:
-                continue  # nonconsecutive edges must be disjoint
-            if len(path) == 1:
-                # second edge of the cycle: consecutive to the start, so it
-                # is allowed (required, even) to meet it
-                path.append(nxt)
-                extend(path, 0)
-                path.pop()
-            elif nxt_mask & start_mask:
-                # meets the start: only legal as the closing edge.  The
-                # intersection points are distinct unless a 3-cycle's edges
-                # share a vertex (a repeated point meets nonconsecutive edges)
-                if nxt in closers and path[1] < nxt and (
-                        len(path) > 2
-                        or not start_mask & masks[last] & nxt_mask):
-                    cycles.append((len(path) + 1, tuple(path) + (nxt,)))
-            elif len(path) + 1 < max_len:
-                path.append(nxt)
-                extend(path, inner | masks[last])
-                path.pop()
+            # the intersection points are distinct unless a 3-cycle's edges
+            # share a vertex (a repeated point meets nonconsecutive edges)
+            if not nxt_mask & inner and (
+                    len(path) > 2 or not masks[start] & masks[last] & nxt_mask):
+                cycles.append((len(path) + 1, (*path, nxt)))
+        if len(path) + 1 < max_len:
+            blocked = inner | masks[start]
+            inner |= masks[last]
+            for nxt in neighbours[last]:
+                if nxt > start and not masks[nxt] & blocked:
+                    path.append(nxt)
+                    extend(path, inner)
+                    path.pop()
 
     if max_len >= 3:
+        near = []
+        for nbrs in neighbours:
+            row = bytearray(m // 8 + 1)
+            for b in nbrs:
+                row[b >> 3] |= 1 << (b & 7)
+            near.append(int.from_bytes(row, "little"))
+        ids = list(range(m))  # one int object per edge index, shared by cycles
         for start in range(m):
-            closers = set(neighbours[start])
-            extend([start], 0)
+            for second in neighbours[start]:
+                if second > start:
+                    extend([start, second], 0)
 
     counts = {j: 0 for j in range(2, max(g, 2))}
     for j, _ in cycles:

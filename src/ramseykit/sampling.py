@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph, InputError, girth_at_least
@@ -110,14 +109,26 @@ def delete_short_cycles(hg: UniformHypergraph, g: int,
     """Remove one universe vertex per short cycle until girth >= g.
 
     Greedy choice: the vertex covering the most remaining cycles, ties to
-    the smallest index.  Success is declared only on a satisfied sparsity
-    verdict for the survivor; the result carries the census it started
-    from.  If more than `cap` deletions would be needed
-    the partial removal set is returned for diagnostics.
+    the smallest index.  Cycles are bits: `holds[v]` is the mask of the
+    census cycles whose span contains v and `alive` the mask of those not
+    yet covered, so v covers `(holds[v] & alive).bit_count()` of them.
+    Success is declared only on a satisfied sparsity verdict for the
+    survivor; the result carries the census it started from.  If more than
+    `cap` deletions would be needed the partial removal set is returned
+    for diagnostics.
     """
     census = enumerate_short_cycles(hg, g)
-    spans = [set().union(*(hg.edges[ei] for ei in edge_idxs))
-             for _, edge_idxs in census.cycles]
+    # one bytearray row per edge: bit i set when the edge lies on cycle i
+    rows = [bytearray((census.total + 7) // 8) for _ in hg.edges]
+    for i, (_, edge_idxs) in enumerate(census.cycles):
+        for ei in edge_idxs:
+            rows[ei][i >> 3] |= 1 << (i & 7)
+    holds: dict[int, int] = {}
+    for edge, row in zip(hg.edges, rows):
+        on_edge = int.from_bytes(row, "little")
+        for v in edge:
+            holds[v] = holds.get(v, 0) | on_edge
+    alive = (1 << census.total) - 1
 
     removed: list[int] = []
 
@@ -125,13 +136,12 @@ def delete_short_cycles(hg: UniformHypergraph, g: int,
         return DeletionResult(DELETION_CAP_EXCEEDED, tuple(removed), None,
                               census)
 
-    while spans:
-        coverage = Counter(v for span in spans for v in span)
-        best = max(coverage.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+    while alive:
+        best = max(holds, key=lambda v: ((holds[v] & alive).bit_count(), -v))
         if len(removed) + 1 > cap:
             return cap_exceeded()
         removed.append(best)
-        spans = [s for s in spans if best not in s]
+        alive &= ~holds[best]
 
     survivor = hg.restrict(removed)
     verdict = sparsity_girth(survivor, g)

@@ -310,16 +310,17 @@ class TestExtremal:
         assert graph_girth(res.witness) > 3
 
     def test_node_budget_stops_the_search(self):
-        # the unbudgeted search needs 2,866 nodes here
+        # the unbudgeted search needs 2,823 nodes here
         res = extremal_ex(8, {3, 4}, SearchBudget(node_limit=1000))
         assert res.status == LOWER_BOUND_ONLY
         assert res.nodes <= 1000
         assert graph_girth(res.witness) > 4
         assert res.max_edges == len(res.witness.edges)
-        # 5 nodes decide ex(0), ex(1) and ex(2): the one edge stands
+        # ex(0..4) take no search; 5 nodes do not reach a leaf of the
+        # 5-vertex search, so the star on 4 vertices stands
         res = extremal_ex(8, {3, 4}, SearchBudget(node_limit=5))
         assert res.status == LOWER_BOUND_ONLY
-        assert res.max_edges == len(res.witness.edges) == 1
+        assert res.max_edges == len(res.witness.edges) == 3
 
     def test_every_node_limit_is_exact_and_keeps_the_best_graph(self):
         full = extremal_ex(8, {3, 4})
@@ -343,13 +344,15 @@ class TestExtremal:
         res = extremal_ex(6, {3}, budget)
         assert res.status == EXACT
         assert budget.remaining == 100_000 - res.nodes
-        # a budget already spent, in nodes or in time, answers at once
+        # a budget already spent, in nodes or in time, answers at once,
+        # with the star on 4 vertices that needs no search
         for spent in (SearchBudget(node_limit=0),
                       SearchBudget(wall_secs=-1.0)):
             res = extremal_ex(8, {3, 4}, spent)
             assert res.status == LOWER_BOUND_ONLY
             assert res.nodes == 0
-            assert res.max_edges == 0 and res.witness.edges == ()
+            assert res.max_edges == 3
+            assert res.witness.edges == ((0, 1), (0, 2), (0, 3))
 
     def test_every_cycle_forbidden_leaves_the_star_at_once(self):
         # the star is also the first densest graph in the search's order

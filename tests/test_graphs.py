@@ -15,6 +15,36 @@ from ramseykit.graphs import (
     graph_from_edges,
     graph_girth,
 )
+from ramseykit.sampling import sample_gnp
+
+
+def _recursive_graph_cycles(g: Graph, length: int):
+    """Reference enumeration in the order of `enumerate_graph_cycles`, by
+    another method: one recursive generator per path, walking sorted
+    adjacency lists, that tests the closing vertex one neighbour at a
+    time."""
+    if length < 3 or length > g.n:
+        return
+    adj = g.adjacency()
+    bits = g.adjacency_bits()
+    path = [0] * length
+
+    def extend(depth: int, used: int, start: int):
+        last = path[depth - 1]
+        if depth == length - 1:
+            for y in adj[last]:
+                if y > path[1] and bits[y] >> start & 1 and not used >> y & 1:
+                    path[depth] = y
+                    yield tuple(path)
+            return
+        for y in adj[last]:
+            if y > start and not used >> y & 1:
+                path[depth] = y
+                yield from extend(depth + 1, used | 1 << y, start)
+
+    for start in range(g.n):
+        path[0] = start
+        yield from extend(1, 1 << start, start)
 
 
 def petersen() -> Graph:
@@ -142,3 +172,21 @@ class TestCycleEnumeration:
             for cyc in listed:
                 assert cyc[0] == min(cyc) and cyc[1] < cyc[-1]
             assert set(listed) == self.brute_cycles(g, j)
+
+    @pytest.mark.parametrize("n, p", [(100, 0.07), (40, 0.2)])
+    def test_same_list_as_recursive_search(self, n, p):
+        # larger than the brute force reaches; the order is pinned too
+        for seed in range(4):
+            g = sample_gnp(n, p, seed)
+            for j in range(3, 7):
+                assert list(enumerate_graph_cycles(g, j)) == \
+                    list(_recursive_graph_cycles(g, j))
+
+    def test_same_list_on_small_and_dense_graphs(self):
+        rng = random.Random(19)
+        for _ in range(150):
+            n = rng.randint(0, 8)
+            g = sample_gnp(n, rng.choice([0.3, 0.6, 1.0]), rng.randrange(99))
+            for j in range(0, n + 2):
+                assert list(enumerate_graph_cycles(g, j)) == \
+                    list(_recursive_graph_cycles(g, j))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ramseykit.graphs import InputError, complete_graph, graph_from_edges
 from ramseykit.hypergraphs import (
+    CycleReport,
     GirthVerdict,
     UniformHypergraph,
     ap_count_formula,
@@ -441,3 +442,71 @@ def relaxed_long_cycles(hg, g):
     for s in range(m):
         extend([s])
     return found
+
+
+def _census_extend(hg: UniformHypergraph, g: int) -> CycleReport:
+    """Reference census by another method: paths grow through sorted
+    neighbour lists, and each neighbour of the last edge that meets the
+    start is tested as a closer against a set of the start's neighbours."""
+    bit = {v: 1 << i for i, v in enumerate(hg.universe)}
+    masks = [sum(bit[v] for v in e) for e in hg.edges]
+    m = len(masks)
+    cycles = []
+    neighbours = [[] for _ in range(m)]
+    for a, b in combinations(range(m), 2):
+        shared = (masks[a] & masks[b]).bit_count()
+        if shared == 1:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        elif shared and g > 2:
+            cycles.append((2, (a, b)))
+    max_len = g - 1
+
+    def extend(path, inner):
+        start, last = path[0], path[-1]
+        start_mask = masks[start]
+        for nxt in neighbours[last]:
+            nxt_mask = masks[nxt]
+            if nxt <= start or nxt_mask & inner:
+                continue
+            if len(path) == 1:
+                path.append(nxt)
+                extend(path, 0)
+                path.pop()
+            elif nxt_mask & start_mask:
+                if nxt in closers and path[1] < nxt and (
+                        len(path) > 2
+                        or not start_mask & masks[last] & nxt_mask):
+                    cycles.append((len(path) + 1, tuple(path) + (nxt,)))
+            elif len(path) + 1 < max_len:
+                path.append(nxt)
+                extend(path, inner | masks[last])
+                path.pop()
+
+    if max_len >= 3:
+        for start in range(m):
+            closers = set(neighbours[start])
+            extend([start], 0)
+    counts = {j: 0 for j in range(2, max(g, 2))}
+    for j, _ in cycles:
+        counts[j] += 1
+    return CycleReport(g, tuple(sorted(cycles)), counts)
+
+
+class TestCensusReference:
+    def test_reference_equals_definition(self):
+        rng = random.Random(47)
+        for _ in range(200):
+            hg = random_hypergraph(rng, max_vertices=7, max_edges=7,
+                                   h=rng.choice([2, 3]))
+            for g in range(2, 7):
+                assert list(_census_extend(hg, g).cycles) == \
+                    definition_cycles(hg, g)
+
+    def test_census_equals_reference_on_random_families(self):
+        rng = random.Random(53)
+        for _ in range(200):
+            hg = random_hypergraph(rng, max_vertices=rng.randint(4, 30),
+                                   max_edges=40, h=rng.choice([2, 3, 4]))
+            for g in range(2, 7):
+                assert enumerate_short_cycles(hg, g) == _census_extend(hg, g)

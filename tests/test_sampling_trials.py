@@ -1,7 +1,9 @@
 import io
 import math
+import random
 import statistics
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -17,12 +19,14 @@ from ramseykit.hypergraphs import (
 from ramseykit.sampling import (
     DELETION_CAP_EXCEEDED,
     DELETION_OK,
+    DeletionResult,
     delete_short_cycles,
     rejection_sample_girth,
     sample_gnp,
     sample_subset,
 )
 from test_golden import CONFIGS as GOLDEN_CONFIGS
+from test_hypergraphs import _census_extend
 
 from ramseykit.trials import (
     ExperimentRecord,
@@ -174,6 +178,76 @@ class TestDeletion:
         assert res.census.total == 0
         assert len(res.removed) == 2
         assert sparsity_girth(res.survivor, 3).satisfied
+
+
+def _counter_deletion(hg, g: int, cap) -> DeletionResult:
+    """Reference greedy deletion by another method: one vertex set per
+    cycle of the reference census, and a Counter over the sets left,
+    rebuilt after each deletion."""
+    census = _census_extend(hg, g)
+    spans = [set().union(*(hg.edges[ei] for ei in edge_idxs))
+             for _, edge_idxs in census.cycles]
+    removed = []
+    while spans:
+        coverage = Counter(v for span in spans for v in span)
+        best = max(coverage.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+        if len(removed) + 1 > cap:
+            return DeletionResult(DELETION_CAP_EXCEEDED, tuple(removed),
+                                  None, census)
+        removed.append(best)
+        spans = [span for span in spans if best not in span]
+    survivor = hg.restrict(removed)
+    assert sparsity_girth(survivor, g).satisfied
+    return DeletionResult(DELETION_OK, tuple(removed), survivor, census)
+
+
+def golden_trial_systems():
+    """(system, g, cap) of each trial of the golden batches: the system
+    its deletion runs on, or its copy system for the cycles theorem."""
+    for kw in GOLDEN_CONFIGS.values():
+        config = TrialConfig(**kw)
+        p = config.resolved_p()
+        for seed in range(config.seed, config.seed + config.trials):
+            if config.theorem == "ap":
+                subset = sample_subset(config.n, p, seed)
+                hg = _ap_system_of_subset(config.n, config.k, subset)
+            else:
+                kind = "clique" if config.theorem == "cliques" else "cycle"
+                graph = sample_gnp(config.n, p, seed)
+                hg = system_of_copies(kind, graph, config.k)
+            yield hg, config.resolved_g(), config.resolved_cap()
+
+
+def random_systems(count: int, seed: int):
+    """Seeded AP, clique and cycle systems, in turn, of random size."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = ("ap", "clique", "cycle")[i % 3]
+        if kind == "ap":
+            n = rng.randint(5, 40)
+            subset = sample_subset(n, rng.uniform(0.2, 0.6), rng.randrange(999))
+            yield _ap_system_of_subset(n, rng.choice([3, 4]), subset)
+        else:
+            n = rng.randint(4, 12 if kind == "clique" else 9)
+            graph = sample_gnp(n, rng.uniform(0.2, 0.6), rng.randrange(999))
+            yield system_of_copies(kind, graph, rng.choice([3, 4]))
+
+
+class TestSameAsReference:
+    def test_golden_batches(self):
+        for hg, g, cap in golden_trial_systems():
+            assert enumerate_short_cycles(hg, g) == _census_extend(hg, g)
+            assert delete_short_cycles(hg, g, cap) == \
+                _counter_deletion(hg, g, cap)
+
+    def test_random_ap_clique_and_cycle_systems(self):
+        caps = [0, 1, 3, math.inf]
+        for i, hg in enumerate(random_systems(200, seed=61)):
+            for g in range(2, 6):
+                cap = caps[(i + g) % 4]
+                assert enumerate_short_cycles(hg, g) == _census_extend(hg, g)
+                assert delete_short_cycles(hg, g, cap) == \
+                    _counter_deletion(hg, g, cap)
 
 
 class TestApSubsetSystem:
