@@ -516,8 +516,9 @@ def cmd_fact_vdw(ns) -> int:
     rng = _random.Random(seed)
     tallies = {"first": 0, "second": 0, "both": 0}
     violations = 0
+    points, palette = range(1, ns.n + 1), range(1, ns.r + 2)
     for _ in range(ns.random):
-        colours = {i: rng.randint(1, ns.r + 1) for i in range(1, ns.n + 1)}
+        colours = dict(zip(points, rng.choices(palette, k=ns.n)))
         try:
             tallies[fact_vdw_branch(colours, ns.k, ns.r, ns.W)] += 1
         except FactViolationError:

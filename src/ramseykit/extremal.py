@@ -6,16 +6,23 @@ that no forbidden cycle closes, and only graphs with deg(0) >= ... >=
 deg(n-3) are explored: every graph has such a relabelling, so the maximum
 is kept.  ex(n) is decided after ex(0..n-1), which bound it.  The search
 stops at n*ex(n-1)/(n-2), as each edge lies in n-2 of the n vertex-deleted
-subgraphs, and at slot (u, v) it cuts when the edges chosen, n-v more in
-u's block (fewer if deg(u) would pass deg(u-1)) and ex(n-u-1) among
-u+1..n-1 cannot beat the incumbent.  Correctness over speed: no
-automorphism machinery.  The search draws on a started `SearchBudget`,
-which callers may share with other searches.
+subgraphs, or earlier at the irregular Moore bound (Alon, Hoory and
+Linial, Graphs Combin. 2002).  At slot (u, v) it cuts when the edges
+chosen, n-v more in u's block (fewer if deg(u) would pass deg(u-1)) and
+ex(n-u-1) among u+1..n-1 cannot beat the incumbent, and when the finished
+vertex u-1 has degree below len(best)+1-ex(n-1): deleting a vertex leaves
+at most ex(n-1) edges, so a graph that beats the incumbent has no such
+vertex.  Both counting bounds remove only branches that cannot improve
+on the incumbent, so the first densest graph in search order is still the
+one returned.  Correctness over speed: no automorphism machinery.  The
+search draws on a started `SearchBudget`, which callers may share with
+other searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .colouring import SearchBudget
@@ -53,6 +60,26 @@ def _bfs_distance_at_least(adj: list[list[int]], u: int, v: int,
     return True
 
 
+def moore(n: int, g: int) -> int:
+    """An upper bound on the edges of an n-vertex graph of girth >= g.
+
+    Alon, Hoory and Linial (Graphs Combin. 2002): a graph of average degree
+    d >= 2 and girth g has at least n0(d, g) vertices, where
+    n0(d, 2r+1) = 1 + d·Σ_{i<r} (d-1)^i and n0(d, 2r) = 2·Σ_{i<r} (d-1)^i.
+    With e >= n edges the average degree 2e/n is at least 2, so the bound
+    is the largest such e with n0(2e/n, g) <= n, or n-1 if there is none
+    (n edges close a cycle, of length at most n).  Exact arithmetic.
+    """
+    def n0(d: Fraction) -> Fraction:
+        total = sum((d - 1) ** i for i in range(g // 2))
+        return 1 + d * total if g % 2 else 2 * total
+
+    e = n - 1
+    while n0(Fraction(2 * (e + 1), n)) <= n:
+        e += 1
+    return e
+
+
 def _search(n: int, m: int, ex: list[int], seed: list[tuple[int, int]],
             budget: SearchBudget) -> tuple[list[tuple[int, int]], int, bool]:
     """The densest girth-(m+1) graph on n vertices found, the nodes spent
@@ -62,7 +89,7 @@ def _search(n: int, m: int, ex: list[int], seed: list[tuple[int, int]],
     """
     slots = list(combinations(range(n), 2))
     total = len(slots)
-    upper = n * ex[n - 1] // (n - 2)
+    upper = min(n * ex[n - 1] // (n - 2), moore(n, m + 1))
     adj: list[list[int]] = [[] for _ in range(n)]
     degree = [0] * n
     chosen: list[tuple[int, int]] = []
@@ -84,10 +111,12 @@ def _search(n: int, m: int, ex: list[int], seed: list[tuple[int, int]],
                 stop = len(best) == upper
             return
         u, v = slots[idx]
-        if idx > 0 and slots[idx - 1][0] != u and u >= 2:
+        if idx > 0 and slots[idx - 1][0] != u:
             # block u-1 just finished; its degree is final now
-            if degree[u - 1] > degree[u - 2]:
+            if u >= 2 and degree[u - 1] > degree[u - 2]:
                 return
+            if degree[u - 1] < len(best) + 1 - ex[n - 1]:
+                return  # deleting u-1 would leave more than ex(n-1) edges
         block = n - v  # edges still to come in u's block
         if 1 <= u <= n - 3:
             # deg(u) <= deg(u-1) is checked at block u+1; negative if passed

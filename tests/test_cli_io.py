@@ -1,9 +1,11 @@
 import json
+import random
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from ramseykit import cli
 from ramseykit.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, dispatch
 from ramseykit.graphs import complete_graph, graph_from_edges, graph_girth
 from ramseykit.hypergraphs import system_of_copies
@@ -324,6 +326,24 @@ class TestCli:
             "-W", "9", "--random", "5", "--seed", "3")
         assert code == EXIT_OK
         assert blob["result"]["violations"] == 0
+
+    def test_fact_vdw_random_draws_each_colouring_with_choices(
+            self, capsys, monkeypatch):
+        # one choices() call per colouring, over the r+1 colours in order
+        drawn = []
+        branch = cli.fact_vdw_branch
+        monkeypatch.setattr(cli, "fact_vdw_branch",
+                            lambda colours, *a: drawn.append(colours)
+                            or branch(colours, *a))
+        code, blob = self.run_json(
+            capsys, "fact-vdw", "-n", "100", "-k", "3", "-r", "2",
+            "-W", "9", "--random", "4", "--seed", "7")
+        assert code == EXIT_OK
+        rng = random.Random(7)
+        assert drawn == [dict(zip(range(1, 101), rng.choices(range(1, 4),
+                                                             k=100)))
+                         for _ in range(4)]
+        assert blob["result"]["tallies"]["both"] == 4
 
     def verify_w(self, capsys, source, w):
         code = dispatch(["fact-vdw", "-n", "2000", "-k", "3", "-r", "2",

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramseykit.colouring import ARROWS, BUDGET_EXCEEDED, NOT_ARROWS, Colouring, verify_colouring
-from ramseykit.extremal import extremal_ex, fact7_premise
+from ramseykit.extremal import (
+    _bfs_distance_at_least,
+    _search,
+    extremal_ex,
+    fact7_premise,
+    moore,
+)
 from ramseykit.fbounds import f_bound_report, moore_lower_bound
 from ramseykit.graphs import InputError, complete_graph, graph_girth
 from ramseykit.hypergraphs import arithmetic_progressions, system_of_copies
@@ -246,6 +252,60 @@ def _brute_force_ex(n: int) -> dict[int, int]:
             for m in range(3, 7)}
 
 
+def _parent_search(n: int, m: int, ex: list[int], seed, budget):
+    """Reference `_search` without the Moore cap and the degree cut: the
+    same branching order and the same other cuts, so it finds the same
+    improvements, in more nodes.  Returns (best, nodes, ran_out)."""
+    slots = list(combinations(range(n), 2))
+    total = len(slots)
+    upper = n * ex[n - 1] // (n - 2)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    degree = [0] * n
+    chosen: list[tuple[int, int]] = []
+    best = seed
+    nodes = 0
+    stop = ran_out = False
+
+    def search(idx: int):
+        nonlocal best, nodes, stop, ran_out
+        if stop:
+            return
+        if budget.exhausted(nodes):
+            stop = ran_out = True
+            return
+        nodes += 1
+        if idx == total:
+            if len(chosen) > len(best):
+                best = list(chosen)
+                stop = len(best) == upper
+            return
+        u, v = slots[idx]
+        if idx > 0 and slots[idx - 1][0] != u and u >= 2:
+            if degree[u - 1] > degree[u - 2]:
+                return
+        block = n - v
+        if 1 <= u <= n - 3:
+            block = min(block, degree[u - 1] - degree[u])
+        if block < 0 or len(chosen) + block + ex[n - u - 1] <= len(best):
+            return
+        if _bfs_distance_at_least(adj, u, v, m):
+            adj[u].append(v)
+            adj[v].append(u)
+            degree[u] += 1
+            degree[v] += 1
+            chosen.append((u, v))
+            search(idx + 1)
+            chosen.pop()
+            degree[u] -= 1
+            degree[v] -= 1
+            adj[u].pop()
+            adj[v].pop()
+        search(idx + 1)
+
+    search(0)
+    return best, nodes, ran_out
+
+
 class TestExtremal:
     def test_girth_5_on_5_vertices(self):
         res = extremal_ex(5, {3, 4})
@@ -277,6 +337,34 @@ class TestExtremal:
             for m in range(3, 7):
                 res = extremal_ex(n, set(range(3, m + 1)))
                 assert (res.status, res.max_edges) == (EXACT, expected[m])
+                assert n == 0 or moore(n, m + 1) >= expected[m]
+
+    def test_same_witnesses_as_the_search_without_counting_bounds(self):
+        # every n <= 9: extremal_ex(n) is the n-th step of this loop
+        for m in range(3, 10):
+            ex, best, nodes = [], [], 0
+            for n in range(10):
+                if n <= m:
+                    best = [(0, v) for v in range(1, n)]
+                else:
+                    ref, ref_nodes, _ = _parent_search(n, m, ex, best,
+                                                       SearchBudget())
+                    best, spent, ran_out = _search(n, m, ex, best,
+                                                   SearchBudget())
+                    assert (best, ran_out) == (ref, False)
+                    assert spent <= ref_nodes
+                    nodes += spent
+                ex.append(len(best))
+            res = extremal_ex(9, set(range(3, m + 1)))
+            assert (res.status, res.max_edges, res.nodes) == (
+                EXACT, ex[9], nodes)
+            assert res.witness.edges == tuple(sorted(best))
+
+    def test_moore_closed_forms_at_girth_4_and_5(self):
+        # Mantel's n^2/4, and n*sqrt(n-1)/2 from sum deg^2 <= n(n-1)
+        for n in range(1, 60):
+            assert moore(n, 4) == n * n // 4
+            assert moore(n, 5) == math.isqrt(n * n * (n - 1)) // 2
 
     def test_degree_order_leaves_the_last_two_vertices_free(self):
         # deg(0) >= ... >= deg(n-3) is enforced, deg(n-2) and deg(n-1) not
@@ -310,7 +398,7 @@ class TestExtremal:
         assert graph_girth(res.witness) > 3
 
     def test_node_budget_stops_the_search(self):
-        # the unbudgeted search needs 2,823 nodes here
+        # the unbudgeted search needs 1,811 nodes here
         res = extremal_ex(8, {3, 4}, SearchBudget(node_limit=1000))
         assert res.status == LOWER_BOUND_ONLY
         assert res.nodes <= 1000
@@ -384,6 +472,14 @@ class TestPublishedNumbers:
         # R(C5, C5) = 9: Radziszowski, Small Ramsey Numbers, EJC DS1
         res = ramsey_number("cycle", 5, 2)
         assert (res.status, res.value, res.nodes) == (EXACT, 9, 849_698)
+
+    def test_ex_9_girth_7(self):
+        res = extremal_ex(9, {3, 4, 5, 6})
+        assert (res.status, res.max_edges, res.nodes) == (EXACT, 9, 28_533)
+
+    def test_ex_10_girth_8(self):
+        res = extremal_ex(10, {3, 4, 5, 6, 7})
+        assert (res.status, res.max_edges, res.nodes) == (EXACT, 10, 274_580)
 
 
 class TestSharedBudget:
