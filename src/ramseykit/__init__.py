@@ -1,9 +1,9 @@
 """Toolkit for Ramsey-type objects with girth constraints.
 
 Exact graph/hypergraph combinatorics, seeded random constructions with a
-short-cycle deletion pipeline, log-space evaluation of the constant chains
-behind the probabilistic bounds, and exhaustive searches for small Ramsey,
-van der Waerden, and extremal numbers.
+short-cycle deletion pipeline, certified interval evaluation of the
+constant chains behind the probabilistic bounds, and exhaustive searches
+for small Ramsey, van der Waerden, and extremal numbers.
 """
 
 __version__ = "0.1.0"
@@ -45,7 +45,7 @@ from .hypergraphs import (
     sparsity_girth,
     system_of_copies,
 )
-from .lognum import LogNum, floor_int_mul_log2, log2_value
+from .intervals import floor_int_mul_log2
 from .params import ParamSet, derive_params
 from .bounds import (
     ContainerVerdict,

@@ -1,10 +1,10 @@
 """Evaluators for the probability bounds behind the constructions.
 
 Everything here is a pure function on numbers; inputs can be exact
-rationals, machine floats, or LogNums, so the same code serves desk-scale
-sanity checks and the astronomically large parameter chains.  Inequality
-verdicts are re-evaluated under doubled mantissa precision until they
-stop changing.
+rationals, machine floats, or intervals, so the same code serves desk-scale
+sanity checks and the astronomically large parameter chains.  Results are
+intervals that contain the true value, and the container verdict is decided
+by disjoint intervals at whatever precision separates them.
 """
 
 from __future__ import annotations
@@ -14,39 +14,16 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Mapping, Union
 
-from mpmath import mp, mpf, workprec
-
 from .graphs import InputError
 from .hypergraphs import DegreeStats
-from .lognum import DEFAULT_PREC, LogNum, Real
-
-MAX_PREC = 1 << 14  # bits at which an unsettled verdict is an error
-
-
-def _stable_verdict(evaluate):
-    """Run `evaluate` under doubling precision until its verdict repeats.
-
-    `evaluate` returns (verdict, payload); only the verdict must stabilise.
-    """
-    prec = max(mp.prec, DEFAULT_PREC)
-    with workprec(prec):
-        prev, payload = evaluate()
-    while prec < MAX_PREC:
-        prec *= 2
-        with workprec(prec):
-            cur, payload = evaluate()
-        if cur == prev:
-            return cur, payload
-        prev = cur
-    raise RuntimeError("inequality verdict did not stabilise under "
-                       f"precision doubling up to {MAX_PREC} bits")
+from .intervals import Interval, Real, exp, real, settle, working
 
 
 @dataclass(frozen=True)
 class ContainerVerdict:
     satisfied: bool
-    lhs: LogNum
-    margin: LogNum  # epsilon / lhs; > 1 iff satisfied
+    lhs: Interval
+    margin: Interval | None  # epsilon / lhs, > 1 iff satisfied; None: lhs = 0
 
 
 DegreeLike = Union[DegreeStats, Mapping[int, Real]]
@@ -57,56 +34,49 @@ def container_condition(degrees: DegreeLike, h: int, tau: Real,
     """Check the container-lemma degree hypothesis.
 
     Computes (6 * h! * 2^C(h,2) / d_1) * sum_{j=2..h} d_j / (2^C(j-1,2)
-    tau^(j-1)) in log space and compares it with eps.  `degrees` is either
-    a DegreeStats (empirical mode, averages are used) or a mapping j -> d_j
-    of analytic bounds (an upper bound for j >= 2 and a lower bound for
-    d_1 keep the check conservative).
+    tau^(j-1)) and compares it with eps.  `degrees` is either a DegreeStats
+    (empirical mode, averages are used) or a mapping j -> d_j of analytic
+    bounds (an upper bound for j >= 2 and a lower bound for d_1 keep the
+    check conservative).  Exact inputs are re-read at each precision;
+    interval inputs carry their own width.  A tie that no precision
+    separates raises RuntimeError.
     """
     if isinstance(degrees, DegreeStats):
         dmap: dict[int, Real] = dict(degrees.avg)
     else:
         dmap = dict(degrees)
-    d1 = dmap.get(1, 0)
-    if LogNum.from_real(d1).sign <= 0:
+    if not real(dmap.get(1, 0)) > 0:
         raise InputError("container condition needs d_1 > 0 (no edges?)")
-    half = Fraction(1, 2)
-    if not (LogNum.zero() < LogNum.from_real(tau) < half
-            and LogNum.zero() < LogNum.from_real(eps) < half):
+    if not all(0 < real(x) < 0.5 for x in (tau, eps)):
         raise InputError("container condition needs tau, eps in (0, 1/2)")
 
     def evaluate():
-        tau_l = LogNum.from_real(tau)
-        eps_l = LogNum.from_real(eps)
-        front = LogNum.from_int(6 * factorial(h) * 2 ** comb(h, 2)) \
-            / LogNum.from_real(d1)
-        total = LogNum.zero()
-        for j in range(2, h + 1):
-            dj = LogNum.from_real(dmap.get(j, 0))
-            if dj.sign == 0:
-                continue
-            denom = LogNum.from_int(2 ** comb(j - 1, 2)) * tau_l ** (j - 1)
-            total = total + dj / denom
-        lhs = front * total
-        if lhs.sign == 0:
-            return True, (lhs, None)
-        return lhs <= eps_l, (lhs, eps_l / lhs)
+        tau_i, eps_i = real(tau), real(eps)
+        front = 6 * factorial(h) * 2 ** comb(h, 2) / real(dmap[1])
+        lhs = front * sum(
+            real(dmap.get(j, 0)) / (2 ** comb(j - 1, 2) * tau_i ** (j - 1))
+            for j in range(2, h + 1))
+        if lhs == 0:  # no d_j above j = 1
+            return {}, ContainerVerdict(True, lhs, None)
+        verdict = lhs <= eps_i
+        return ({"container condition": verdict},
+                ContainerVerdict(verdict, lhs, eps_i / lhs))
 
-    satisfied, (lhs, margin) = _stable_verdict(evaluate)
-    return ContainerVerdict(satisfied, lhs, margin)
+    return settle(evaluate)
 
 
-def cycle_system_analytic_degrees(n: Real, k: int) -> dict[int, Real]:
+@working
+def cycle_system_analytic_degrees(n: Real, k: int) -> dict[int, Interval]:
     """Degree bounds for the system of k-cycles in a complete graph on n.
 
     d_1 is the lower bound (k!/k^k) n^(k-2); d_j <= n^(k-j-1) for
     2 <= j <= k-1; d_k = 1.
     """
-    n_l = LogNum.from_real(n)
-    out: dict[int, Real] = {
-        1: LogNum.from_fraction(Fraction(factorial(k), k**k)) * n_l ** (k - 2)}
+    n = real(n)
+    out = {1: real(Fraction(factorial(k), k**k)) * n ** (k - 2)}
     for j in range(2, k):
-        out[j] = n_l ** (k - j - 1)
-    out[k] = 1
+        out[j] = n ** (k - j - 1)
+    out[k] = real(1)
     return out
 
 
@@ -114,12 +84,11 @@ def cycle_system_analytic_degrees(n: Real, k: int) -> dict[int, Real]:
 class CycleExpectation:
     j: int
     value: Fraction
-    lognum: LogNum
     exact: bool  # True: exact expectation; False: first-moment upper bound
 
 
 def _as_fraction(p: Real) -> Fraction:
-    if isinstance(p, LogNum):
+    if isinstance(p, Interval):
         raise InputError("expectation formulas need a rational or float p")
     return Fraction(p)
 
@@ -139,7 +108,7 @@ def expected_short_cycle_counts(kind: str, n: int, p, k: int,
     out: list[CycleExpectation] = []
 
     def push(j: int, value: Fraction, exact: bool):
-        out.append(CycleExpectation(j, value, LogNum.from_fraction(value), exact))
+        out.append(CycleExpectation(j, value, exact))
 
     if kind == "graph":
         for j in range(3, k):
@@ -169,10 +138,11 @@ def expected_short_cycle_counts(kind: str, n: int, p, k: int,
 
 @dataclass(frozen=True)
 class GirthProbabilityBound:
-    product: LogNum      # prod_j (1 - p^j)^(cycle count coefficient)
-    closed_form: LogNum  # exp(-E[short cycles] / (1 - p^3)), always <= product
+    product: Interval      # prod_j (1 - p^j)^(cycle count coefficient)
+    closed_form: Interval  # exp(-E[short cycles] / (1 - p^3)), <= product
 
 
+@working
 def fkg_girth_bound(n: int, p, k: int) -> GirthProbabilityBound:
     """Lower bound on P(girth of a binomial random graph >= k).
 
@@ -180,60 +150,51 @@ def fkg_girth_bound(n: int, p, k: int) -> GirthProbabilityBound:
     with the weaker closed form exp(-E / (1 - p^3)).
     """
     pf = _as_fraction(p)
-    if pf <= 0:
-        return GirthProbabilityBound(LogNum.one(), LogNum.one())
-    if pf >= 1:
-        if k <= 3 or n < 3:
-            return GirthProbabilityBound(LogNum.one(), LogNum.one())
-        return GirthProbabilityBound(LogNum.zero(), LogNum.zero())
-    with workprec(max(mp.prec, DEFAULT_PREC)):
-        pm = mpf(pf.numerator) / pf.denominator
-        log2_product = mpf(0)
-        expectation = Fraction(0)
-        for j in range(3, k):
-            coeff = factorial(j - 1) // 2 * comb(n, j)
-            log2_product += coeff * mp.log(1 - pm**j, 2)
-            expectation += coeff * pf**j
-        product = LogNum(1, log2_product)
-        exponent = -expectation / (1 - pf**3)
-        closed = LogNum.exp_of(Fraction(exponent))
-    return GirthProbabilityBound(product, closed)
+    if pf <= 0 or pf >= 1:  # girth >= k surely holds, or at p = 1 fails
+        value = real(1 if pf <= 0 or k <= 3 or n < 3 else 0)
+        return GirthProbabilityBound(value, value)
+    product = real(1)
+    expectation = Fraction(0)
+    for j in range(3, k):
+        coeff = factorial(j - 1) // 2 * comb(n, j)
+        product *= (1 - real(pf) ** j) ** coeff
+        expectation += coeff * pf**j
+    return GirthProbabilityBound(product, exp(-expectation / (1 - pf**3)))
 
 
+@working
 def union_bound_sum(n_positions: Real, r: int, s: int, tau_k_product: Real,
-                    p: Real) -> LogNum:
+                    p: Real) -> Interval:
     """Bound on the weighted sum over fingerprint tuples.
 
     With M = r*s*(tau*K)*N, returns (M+1) * (e*N*2^(r*s)*p / M)^M, valid
     when M <= 2^(r*s)*p*N (the maximising index of the unimodal summand
-    lies beyond M); otherwise the bounding step is invalid and an error is
-    raised.
+    lies beyond M); inputs shown to break that condition raise an error.
     """
-    n_l = LogNum.from_real(n_positions)
-    tk = LogNum.from_real(tau_k_product)
-    p_l = LogNum.from_real(p)
-    if n_l.sign <= 0 or tk.sign <= 0 or p_l.sign <= 0:
+    n, tk, p = real(n_positions), real(tau_k_product), real(p)
+    if not (n > 0 and tk > 0 and p > 0):
         raise InputError("union bound needs positive N, tau*K, and p")
     rs = r * s
-    big_m = tk * (r * s) * n_l
-    m0 = LogNum.from_int(2) ** rs * p_l * n_l
-    if big_m > m0:
+    big_m = tk * rs * n
+    if big_m > 2**rs * p * n:
         raise InputError("dominance condition fails: r*s*tauK*N exceeds "
                          "2^(rs)*p*N, the unimodal-tail bound is invalid")
+    base = exp(1) * n * 2**rs * p / big_m
+    return (big_m + 1) * base**big_m
 
-    base = LogNum.exp_of(1) * n_l * (LogNum.from_int(2) ** rs) * p_l / big_m
-    return (big_m + 1) * base ** big_m
 
+@working
+def chernoff_tail(mu: Real, t: Real) -> Interval:
+    """Lower-tail bound exp(-mu/8) on P(X <= t), valid for t <= mu/2.
 
-def chernoff_tail(mu: Real, t: Real) -> LogNum:
-    """Lower-tail bound exp(-mu/8), valid for deviations t <= mu/2."""
-    mu_l = LogNum.from_real(mu)
-    t_l = LogNum.from_real(t)
-    if mu_l.sign < 0 or t_l.sign < 0:
+    Inputs shown to lie outside that regime raise an error.
+    """
+    mu, t = real(mu), real(t)
+    if not (mu >= 0 and t >= 0):
         raise InputError("chernoff bound needs mu, t >= 0")
-    if mu_l.sign == 0:
-        return LogNum.one()
-    if t_l > mu_l / 2:
+    if mu == 0:
+        return real(1)
+    if t > mu / 2:
         raise InputError("deviation above mu/2 is outside the regime "
                          "this bound covers")
-    return LogNum.exp_of(-mu_l / 8)
+    return exp(-mu / 8)

@@ -46,7 +46,7 @@ from .io import (
     read_lines,
     write_graph,
 )
-from .lognum import LogNum
+from .intervals import Interval, to_json
 from .params import THEOREMS, derive_params
 from .sampling import rejection_sample_girth, sample_gnp, sample_subset
 from .search import (
@@ -79,8 +79,8 @@ class Parser(argparse.ArgumentParser):
 
 def _jsonable(value):
     """The envelope encoding of a value: the one place that knows it."""
-    if isinstance(value, LogNum):
-        return value.to_json()
+    if isinstance(value, Interval):
+        return to_json(value)
     if isinstance(value, Graph):  # its `_index` cache stays out
         return {"n": value.n, "edges": [list(e) for e in value.edges]}
     if isinstance(value, Fraction):
@@ -348,12 +348,13 @@ def cmd_params(ns) -> int:
 
 
 def _fmt(value) -> str:
-    """Text form of a value: a LogNum as a signed power of two."""
-    if not isinstance(value, LogNum):
+    """Text form of a value: an interval as a signed power of two."""
+    if not isinstance(value, Interval):
         return str(value)
-    if value.sign == 0:
+    enc = to_json(value)
+    if enc["sign"] == 0:
         return "0"
-    return f"{'-' if value.sign < 0 else ''}2^{value.to_json()['log2']}"
+    return f"{'-' if enc['sign'] < 0 else ''}2^{enc['log2']}"
 
 
 def cmd_sample(ns) -> int:

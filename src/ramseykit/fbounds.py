@@ -5,10 +5,11 @@ Lower bounds: a ball-growth (Moore-type) count for the parity-matching
 minimum degree, and the cycle Ramsey number itself (a graph arrowing C_k
 still arrows after completing to a clique on its vertex set, so its order
 is at least R(C_k; r)).  The upper bound is the random-construction size
-k^(15k^3) * R^(10k^2), reported in log space.  For k in {6, 8, 12} the
-known generalized-polygon constructions pin polynomial orders r^6, r^12,
-r^30, reported as asymptotic exponents without constants.  The Ramsey
-search, when asked for, draws on the caller's started `SearchBudget`.
+k^(15k^3) * R^(10k^2), reported as an interval that contains it.  For k in
+{6, 8, 12} the known generalized-polygon constructions pin polynomial
+orders r^6, r^12, r^30, reported as asymptotic exponents without
+constants.  The Ramsey search, when asked for, draws on the caller's
+started `SearchBudget`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 
 from .graphs import InputError
-from .lognum import LogNum
+from .intervals import Interval
 from .params import cycles_size_bound
 from .search import EXACT, SearchBudget, ramsey_number
 
@@ -53,7 +54,7 @@ class FBoundsReport:
     moore_lower: int
     ramsey_number: int | None  # R(C_k; r) when known or searched
     lower_bound: int  # max of the concrete lower bounds
-    upper_log2: LogNum | None  # k^(15k^3) * R^(10k^2); needs k >= 4 and R
+    upper_log2: Interval | None  # k^(15k^3) * R^(10k^2); needs k >= 4 and R
     special_case_exponent: int | None  # asymptotic r-exponent, no constant
     even_ramsey_exponent: Fraction | None  # R(C_k;r) = O(r^expo), k even
     odd_ramsey_lower: int | None  # 2^r * (k-1)/2 <= R(C_k;r), k odd

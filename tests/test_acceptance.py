@@ -34,7 +34,7 @@ from ramseykit.hypergraphs import (
     sparsity_girth,
     system_of_copies,
 )
-from ramseykit.lognum import LogNum
+from ramseykit.intervals import log2, real, to_json
 from ramseykit.params import derive_params
 from ramseykit.sampling import DELETION_OK, delete_short_cycles, sample_gnp, sample_subset
 from ramseykit.search import (
@@ -228,7 +228,7 @@ def test_criterion_7_container_checker():
     verdict = container_condition(degrees, 4, ps.tau, ps.epsilon)
     assert verdict.satisfied
     assert verdict.margin > 1
-    tiny = LogNum.from_fraction(ps.epsilon) / 10**6
+    tiny = real(ps.epsilon / 10**6)
     flipped = container_condition(degrees, 4, ps.tau, tiny)
     assert not flipped.satisfied
     with workprec(mp.prec * 2 if mp.prec >= 96 else 192):
@@ -236,12 +236,13 @@ def test_criterion_7_container_checker():
         degrees2 = cycle_system_analytic_degrees(ps2.n, 4)
         assert container_condition(degrees2, 4, ps2.tau,
                                    ps2.epsilon).satisfied == verdict.satisfied
-        tiny2 = LogNum.from_fraction(ps2.epsilon) / 10**6
+        tiny2 = real(ps2.epsilon / 10**6)
         assert container_condition(degrees2, 4, ps2.tau,
                                    tiny2).satisfied == flipped.satisfied
     elapsed = time.monotonic() - started
     assert elapsed < 5
-    report(7, f"analytic verdict satisfied (margin 2^{verdict.margin.log2}) "
+    report(7, f"analytic verdict satisfied "
+              f"(margin 2^{to_json(verdict.margin)['log2']}) "
               f"and flips at eps/1e6; stable under precision doubling, "
               f"{elapsed:.1f}s")
 
@@ -300,7 +301,7 @@ def test_criterion_10_bounds_report():
     rep = f_bound_report(4, 2, ramsey_value=searched.value)
     assert rep.lower_bound == 6
     expected = 15 * 64 * math.log2(4) + 160 * math.log2(6)
-    relative = abs(float(rep.upper_log2.log2) - expected) / expected
+    relative = abs(float(log2(rep.upper_log2).mid) - expected) / expected
     assert relative < 2**-40
     assert moore_lower_bound("even", 3, 2) == 6
     assert moore_lower_bound("odd", 2, 2) == 13

@@ -1,7 +1,8 @@
 """Source hygiene that a linter would check: no module imports a name it
 never uses, and no public name in the package goes uncalled by the package
 itself.  The import check leaves out the package's `__init__.py`, because
-its imports are the public API."""
+its imports are the public API.  One module owns the number format: only
+`intervals.py` imports mpmath."""
 
 import ast
 from collections import Counter
@@ -40,6 +41,29 @@ def test_no_module_imports_a_name_it_never_uses():
              for path in MODULES
              for line, name in unused_imports(path.read_text("utf-8"))]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level packages a module imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_scan_finds_imported_modules():
+    source = ("import os.path\nfrom mpmath import iv\nfrom . import io\n"
+              "def f():\n    import json\n")
+    assert imported_modules(source) == {"os", "mpmath", "json"}
+
+
+def test_only_the_numerics_module_imports_mpmath():
+    found = [path.name for path in PACKAGE
+             if "mpmath" in imported_modules(path.read_text("utf-8"))]
+    assert found == ["intervals.py"]
 
 
 def names_read(tree: ast.AST) -> Counter:

@@ -18,7 +18,7 @@ from ramseykit.colouring import ARROWS, Colouring, verify_colouring
 from ramseykit.extremal import extremal_ex, fact7_premise
 from ramseykit.graphs import count_graph_cycles
 from ramseykit.hypergraphs import degree_stats, system_of_copies
-from ramseykit.lognum import LogNum
+from ramseykit.intervals import log2, working
 from ramseykit.params import derive_params
 from ramseykit.sampling import rejection_sample_girth, sample_gnp
 from ramseykit.search import fact_vdw_check
@@ -34,7 +34,7 @@ class TestFkgVersusEmpirical:
             for seed in range(seeds))
         rate = hits / seeds
         se = math.sqrt(rate * (1 - rate) / seeds)
-        bound = float(fkg_girth_bound(n, p, k).product)
+        bound = float(fkg_girth_bound(n, p, k).product.mid)
         assert bound <= rate + 3 * se, (bound, rate, se)
 
 
@@ -56,27 +56,25 @@ class TestMonteCarloCycleCounts:
 
 class TestParamIdentities:
     def test_tau_coefficient_power_identity(self):
-        # D_tau^(k-1) equals 2^(2k(k-1)) / epsilon exactly; the log-space
-        # value must agree with the exact rational to 2^-60 relative
+        # D_tau^(k-1) equals 2^(2k(k-1)) / epsilon exactly; the interval
+        # must agree with the exact rational to 2^-60 relative in log2
         for k, r, base in ((4, 2, 6), (5, 3, 7)):
             ps = derive_params("cycles", k, r, None, base)
             exact = Fraction(2 ** (2 * k * (k - 1)), 1) / ps.epsilon
-            lhs = ps.D_tau ** (k - 1)
-            rhs = LogNum.from_fraction(exact)
-            assert abs(float(lhs.log2 - rhs.log2)) < 2**-60 * float(rhs.log2)
+            lhs = working(lambda: ps.D_tau ** (k - 1))()
+            assert abs(log2(lhs) - log2(exact)) < 2**-60 * log2(exact)
 
     def test_ap_tau_power_identity(self):
         ps = derive_params("ap", 3, 2, 4, 9)
         exact = Fraction(6 * math.factorial(3) * 2**3 * 27, 1) / ps.epsilon
-        lhs = ps.D_tau ** 2
-        rhs = LogNum.from_fraction(exact)
-        assert abs(float(lhs.log2 - rhs.log2)) < 2**-60 * float(rhs.log2)
+        lhs = working(lambda: ps.D_tau ** 2)()
+        assert abs(log2(lhs) - log2(exact)) < 2**-60 * log2(exact)
 
     def test_n_is_power_of_dp(self):
         ps = derive_params("cycles", 4, 2, None, 6)
         with workprec(200):
-            diff = ps.n.log2 - 16 * ps.D_p.log2
-        assert abs(float(diff)) < 2**-80
+            diff = working(lambda: log2(ps.n) - 16 * log2(ps.D_p))()
+        assert abs(diff) < 2**-80
 
 
 class TestContainerMonotonicity:

@@ -17,7 +17,7 @@ from ramseykit.bounds import (
 from ramseykit.cli import dispatch
 from ramseykit.graphs import InputError, complete_graph
 from ramseykit.hypergraphs import degree_stats, system_of_copies
-from ramseykit.lognum import LogNum
+from ramseykit.intervals import exp, log2, real, working
 from ramseykit.params import derive_params
 
 
@@ -56,9 +56,21 @@ class TestDeriveParams:
                                     ("ap", 3, 4, 9),
                                     ("cliques", 3, 3, 17)):
             ps = derive_params(theorem, k, 2, g, base)
-            lhs = ps.p / ps.tau
-            rhs = ps.D_p / ps.D_tau
-            assert abs(float(lhs.log2 - rhs.log2)) < 1e-20
+            lhs, rhs = working(lambda: (ps.p / ps.tau, ps.D_p / ps.D_tau))()
+            assert abs(log2(lhs) - log2(rhs)) < 1e-20
+
+    def test_verdicts_are_decided(self):
+        # the golden inputs of each theorem: every check is a proof, never
+        # an undecided None; the link check exists for cycles only
+        for theorem, k, g, base in (("cycles", 4, None, 6),
+                                    ("ap", 3, 5, 9),
+                                    ("cliques", 3, 4, 6)):
+            ps = derive_params(theorem, k, 2, g, base)
+            assert type(ps.size_bound_ok) is bool
+            if theorem == "cycles":
+                assert type(ps.girth_ramsey_link_ok) is bool
+            else:
+                assert ps.girth_ramsey_link_ok is None
 
     def test_input_validation(self):
         with pytest.raises(InputError):
@@ -92,7 +104,7 @@ class TestContainerCondition:
     def test_tiny_epsilon_flips(self):
         ps = derive_params("cycles", 4, 2, None, 6)
         degrees = cycle_system_analytic_degrees(ps.n, 4)
-        small = LogNum.from_fraction(ps.epsilon) / 10**6
+        small = real(ps.epsilon / 10**6)
         verdict = container_condition(degrees, 4, ps.tau, small)
         assert not verdict.satisfied
 
@@ -117,8 +129,15 @@ class TestContainerCondition:
             + stats.avg[3] / (2 ** comb(2, 2) * tau**2))
         verdict = container_condition(stats, 3, tau, eps)
         assert verdict.satisfied == (lhs_exact <= eps)
-        assert float(verdict.lhs.log2) == pytest.approx(
+        assert float(log2(verdict.lhs).mid) == pytest.approx(
             math.log2(lhs_exact), rel=1e-12)
+
+    def test_exact_tie_is_never_a_verdict(self):
+        # lhs = (6 * 2! * 2 / 4800) * 2 / (1/10) = 1/10 = eps exactly: no
+        # precision separates the intervals, so the tie is reported
+        with pytest.raises(RuntimeError, match="did not settle"):
+            container_condition({1: 4800, 2: 2}, 2, Fraction(1, 10),
+                                Fraction(1, 10))
 
     def test_monotone_in_tau_and_eps(self):
         hg = system_of_copies("ap", 60, 3)
@@ -180,22 +199,23 @@ class TestFkgBound:
     def test_tends_to_one_for_tiny_p(self):
         bound = fkg_girth_bound(40, Fraction(1, 10**9), 6)
         assert bound.product <= 1
-        assert float(bound.product) == pytest.approx(1.0, abs=1e-6)
+        assert float(bound.product.mid) == pytest.approx(1.0, abs=1e-6)
 
     def test_single_factor_k4(self):
         n, p = 20, Fraction(1, 5)
         bound = fkg_girth_bound(n, p, 4)
         expected = math.log2(1 - 0.2**3) * comb(20, 3)
-        assert float(bound.product.log2) == pytest.approx(expected, rel=1e-12)
+        assert float(log2(bound.product).mid) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_product_dominates_closed_form(self):
         for n, p, k in ((30, Fraction(1, 10), 5), (50, Fraction(1, 50), 6)):
             bound = fkg_girth_bound(n, p, k)
-            assert LogNum.zero() < bound.closed_form <= bound.product <= 1
+            assert 0 < bound.closed_form <= bound.product <= 1
 
     def test_degenerate_p(self):
         assert fkg_girth_bound(10, 0, 5).product == 1
-        assert fkg_girth_bound(10, 1, 5).product.sign == 0
+        assert fkg_girth_bound(10, 1, 5).product == 0
 
 
 class TestUnionBound:
@@ -207,8 +227,8 @@ class TestUnionBound:
         p = Fraction(r * s) * tau_k / 2 ** (r * s)
         result = union_bound_sum(n_pos, r, s, tau_k, p)
         m = Fraction(r * s) * tau_k * n_pos
-        expected = (LogNum.from_fraction(m) + 1) * LogNum.exp_of(Fraction(m))
-        assert abs(float(result.log2 - expected.log2)) < 1e-15
+        expected = working(lambda: (real(m) + 1) * exp(m))()
+        assert abs(log2(result) - log2(expected)) < 1e-15
 
     def test_monotone_in_s(self):
         vals = []
@@ -223,16 +243,18 @@ class TestUnionBound:
 
     def test_paper_scale_cycles_chain(self):
         ps = derive_params("cycles", 4, 2, None, 6)
-        pairs = ps.n * (ps.n - 1) / 2
-        result = union_bound_sum(pairs, ps.r, ps.s, ps.tau * ps.K, ps.p)
+        pairs = working(lambda: ps.n * (ps.n - 1) / 2)()
+        tau_k = working(lambda: ps.tau * ps.K)()
+        result = union_bound_sum(pairs, ps.r, ps.s, tau_k, ps.p)
         # final step of the fingerprint-sum chain
-        ceiling = LogNum.exp_of(ps.p / (2 * 6**2) * pairs)
+        ceiling = exp(working(lambda: ps.p / (2 * 6**2) * pairs)())
         assert result <= ceiling
 
     def test_paper_scale_ap_chain(self):
         ps = derive_params("ap", 3, 2, 4, 9)
-        result = union_bound_sum(ps.n, ps.r, ps.s, ps.tau * ps.K, ps.p)
-        ceiling = LogNum.exp_of(ps.p * ps.n / (64 * 9))
+        tau_k = working(lambda: ps.tau * ps.K)()
+        result = union_bound_sum(ps.n, ps.r, ps.s, tau_k, ps.p)
+        ceiling = exp(working(lambda: ps.p * ps.n / (64 * 9))())
         assert result <= ceiling
 
 
@@ -243,8 +265,8 @@ class TestChernoff:
         mu = Fraction(p * n, 4 * w)
         t = Fraction(p * n, 8 * w)
         got = chernoff_tail(mu, t)
-        expected = LogNum.exp_of(-Fraction(p * n, 32 * w))
-        assert abs(float(got.log2 - expected.log2)) < 1e-15
+        expected = exp(-Fraction(p * n, 32 * w))
+        assert abs(log2(got) - log2(expected)) < 1e-15
 
     def test_degenerate_mu(self):
         assert chernoff_tail(0, 0) == 1
@@ -255,8 +277,11 @@ class TestChernoff:
 
     def test_paper_scale_cliques(self):
         ps = derive_params("cliques", 3, 2, 3, 17)
-        pairs = ps.n * (ps.n - 1) / 2
-        mu = ps.p * pairs / 17**2  # |D| > C(n,2)/R^2 regime
+        pairs = working(lambda: ps.n * (ps.n - 1) / 2)()
+        mu = working(lambda: ps.p * pairs / 17**2)()  # |D| > C(n,2)/R^2
         got = chernoff_tail(mu, ps.t)
-        expected = LogNum.exp_of(-(ps.p / (8 * 17**2)) * pairs)
-        assert abs(float(got.log2 - expected.log2)) < 1e-12
+        expected = exp(working(lambda: -(ps.p / (8 * 17**2)) * pairs)())
+        # both intervals hold the same number, whose log2 is near -2^12250:
+        # they overlap, and their log2 agree to 1e-24 relative
+        assert not (got < expected or got > expected)
+        assert abs(log2(got) - log2(expected)) < 1e-24 * -log2(expected)
