@@ -329,15 +329,18 @@ def cmd_params(ns) -> int:
     elif ns.container_check:
         raise InputError("--container-check covers only the cycles theorem")
     ps = derive_params(ns.theorem, ns.k, ns.r, ns.g, base)
-    lines = [f"  {key:<22} {_fmt(value)}" for key, value in vars(ps).items()]
+    text = not ns.json  # an envelope encodes each interval itself
+    lines = [f"  {key:<22} {_fmt(value)}"
+             for key, value in vars(ps).items() if text]
     result = {"params": ps}
     if ns.container_check:
         verdict = container_condition(
             cycle_system_analytic_degrees(ps.n, ns.k), ns.k, ps.tau,
             ps.epsilon)
         result["container_condition"] = verdict
-        lines.append(f"  container condition satisfied={verdict.satisfied} "
-                     f"margin={_fmt(verdict.margin)}")
+        if text:
+            lines.append(f"  container condition satisfied="
+                         f"{verdict.satisfied} margin={_fmt(verdict.margin)}")
     return emit(ns, "params",
                 {"theorem": ns.theorem, "k": ns.k, "r": ns.r, "g": ns.g,
                  "base_number": base},
@@ -570,7 +573,7 @@ def cmd_fbounds(ns) -> int:
     report = f_bound_report(ns.k, ns.r, ramsey_value=ns.R,
                             search_budget=_budget(ns) if ns.search_R else None)
     lines = [f"  {k:<24} {_fmt(v) if v is not None else '-'}"
-             for k, v in vars(report).items()]
+             for k, v in vars(report).items() if not ns.json]
     emit(ns, "fbounds", {"k": ns.k, "r": ns.r, "R": ns.R,
                          "search_R": ns.search_R},
          report,

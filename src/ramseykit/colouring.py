@@ -2,13 +2,16 @@
 
 A colouring is proper when no hyperedge is monochromatic.  The search is
 exhaustive backtracking with colour-class canonicalisation (a vertex may
-open colour c+1 only if colours 1..c are already in use), so "uncolourable"
-is a proof by exhaustion.  Vertices take colours in universe order, so a
-hyperedge can only turn monochromatic when its last vertex is coloured; it
-is checked then, once, against a bitmask of the positions holding that
-colour.  No automorphism pruning is attempted.  Every exhaustive search of
-the toolkit draws on a started `SearchBudget`; searches handed the same
-budget object share it.
+open colour c+1 only if colours 1..c are already in use) and forward
+checking, so "uncolourable" is a proof by exhaustion.  Vertices take colours
+in universe order.  A hyperedge is checked once, when its second-to-last
+vertex is coloured: if its earlier vertices all hold that colour, the colour
+is forbidden at its last vertex.  A node is one attempt to give a vertex a
+colour; it fails when the colour is forbidden there, or when it leaves some
+later vertex with every colour forbidden (a wipeout), which cuts a subtree
+holding no proper colouring.  No automorphism pruning is attempted.  Every
+exhaustive search of the toolkit draws on a started `SearchBudget`;
+searches handed the same budget object share it.
 """
 
 from __future__ import annotations
@@ -92,10 +95,16 @@ def colouring_search(hg: UniformHypergraph, r: int,
     """Find a proper r-colouring or prove none exists.
 
     Deterministic: vertices are branched in universe order, colours tried
-    ascending.  Each assignment attempt is a node; it fails when an edge
-    whose last vertex this is has all its other vertices in the colour's
-    mask.  An edge given with a repeated vertex counts each vertex once, so
-    one with a single vertex fails every colour.  The search stops when
+    ascending, and a vertex may open colour c+1 only once 1..c are in use.
+    Each assignment attempt is a node.  An edge is checked once, when its
+    second-to-last vertex takes a colour that all its earlier vertices
+    share: the colour is then forbidden at its last vertex.  An attempt
+    fails when its colour is forbidden at its vertex, and also when it
+    forbids the last colour left at some later vertex, since no colouring
+    extends that prefix.  The first proper colouring found is the same as
+    without the second cut, reached in at most as many nodes.  An edge
+    given with a repeated vertex counts each vertex once, so one with a
+    single vertex forbids every colour at it.  The search stops when
     `budget` is exhausted, which yields BUDGET_EXCEEDED, never a wrong
     verdict; the attempts made are charged to it.
     """
@@ -106,28 +115,43 @@ def colouring_search(hg: UniformHypergraph, r: int,
     if nv == 0:
         return SearchResult(PROPER, Colouring({}, r), 0)
     bit = {v: 1 << pos for pos, v in enumerate(order)}
-    # closing[pos]: for each edge whose last vertex is at pos, the bitmask
-    # of the positions of its other vertices
-    closing: list[list[int]] = [[] for _ in order]
+    bits = list(bit.values())
+    # pen[pos]: for each edge whose second-to-last vertex is at pos, the
+    # bitmask of its positions but the last, and the bit of the last
+    pen: list[list[tuple[int, int]]] = [[] for _ in order]
+    dead = 0  # the positions of edges with a single distinct vertex
     for e in hg.edges:
         mask = 0
         for v in e:
             mask |= bit[v]
-        last = mask.bit_length() - 1
-        closing[last].append(mask ^ 1 << last)
+        last = 1 << mask.bit_length() - 1
+        mask ^= last
+        if mask:
+            pen[mask.bit_length() - 1].append((mask, last))
+        else:
+            dead |= last
     budget = budget or SearchBudget()
     exhausted = budget.exhausted
 
     masks = [0] * (r + 1)  # masks[c]: the positions coloured c
-    assigned = [0] * nv  # colour tried last at each position, 0 for none
-    top = [0] * nv  # highest colour used before each position
-    nodes, pos = 0, 0
+    # forbid[c]: the positions where c would close a monochromatic edge;
+    # colour 0 is no colour, so forbid[0] holds every position
+    forbid = [-1] + [dead] * r
+    saved = [0] * nv  # forbid[c] before colour c went to each position
+    # colour tried last at each position, 0 for none, negated if forbidden
+    assigned = [0] * nv
+    cap = [1] * nv  # highest colour each position may take
+    nodes, pos, end = 0, 0, nv - 1
     status, colouring = UNCOLOURABLE, None
     while pos >= 0:
         c = assigned[pos]
-        if c:
-            masks[c] ^= 1 << pos
-        if c > top[pos] or c == r:
+        if c < 0:
+            c = -c
+        elif c:
+            masks[c] ^= bits[pos]
+            forbid[c] = saved[pos]
+        top = cap[pos]
+        if c == top:
             assigned[pos] = 0
             pos -= 1
             continue
@@ -136,19 +160,32 @@ def colouring_search(hg: UniformHypergraph, r: int,
             break
         nodes += 1
         c += 1
+        old = forbid[c]
+        b = bits[pos]
+        if old & b:
+            assigned[pos] = -c
+            continue
         assigned[pos] = c
-        mask = masks[c]
-        masks[c] = mask | 1 << pos
-        for other in closing[pos]:
-            if mask & other == other:
-                break  # the edge closing here would be monochromatic
-        else:
-            if pos + 1 == nv:
-                status = PROPER
-                colouring = Colouring(dict(zip(order, assigned)), r)
-                break
-            pos += 1
-            top[pos] = c if c > top[pos - 1] else top[pos - 1]
+        saved[pos] = old
+        mask = masks[c] | b
+        masks[c] = mask
+        new = old
+        for earlier, last in pen[pos]:
+            if mask & earlier == earlier:
+                new |= last
+        if new != old:
+            forbid[c] = new
+            new ^= old
+            for other in forbid:
+                new &= other
+            if new:
+                continue  # a later position has no colour left
+        if pos == end:
+            status = PROPER
+            colouring = Colouring(dict(zip(order, assigned)), r)
+            break
+        pos += 1
+        cap[pos] = c + 1 if c == top < r else top
     budget.charge(nodes)
     return SearchResult(status, colouring, nodes)
 

@@ -34,6 +34,7 @@ COMMANDS_FIXTURE = Path(__file__).with_name("golden") / "cli_commands.jsonl"
 COMMANDS = [
     ["vdw", "-k", "3", "-r", "2"],
     ["vdw", "-k", "3", "-r", "2", "--budget-nodes", "100"],
+    ["vdw", "-k", "3", "-r", "2", "--budget-nodes", "50"],
     ["vdw", "-k", "3", "-r", "2", "-n", "8"],
     ["vdw", "-k", "3", "-r", "2", "-n", "9"],
     ["vdw", "-k", "3", "-r", "2", "-n", "9", "--budget-nodes", "10"],

@@ -467,12 +467,12 @@ class TestPublishedNumbers:
 
     def test_w_3_3(self):
         res = vdw_number(3, 3)
-        assert (res.status, res.value, res.nodes) == (EXACT, 27, 392_514)
+        assert (res.status, res.value, res.nodes) == (EXACT, 27, 69_012)
 
     def test_r_c5_2(self):
         # R(C5, C5) = 9: Radziszowski, Small Ramsey Numbers, EJC DS1
         res = ramsey_number("cycle", 5, 2)
-        assert (res.status, res.value, res.nodes) == (EXACT, 9, 849_698)
+        assert (res.status, res.value, res.nodes) == (EXACT, 9, 157_298)
 
     def test_ex_9_girth_7(self):
         res = extremal_ex(9, {3, 4, 5, 6})
@@ -497,10 +497,10 @@ class TestSharedBudget:
         assert budget.remaining == 1_000_000 - sum(spent)
 
     def test_a_budget_one_search_exhausts_stops_the_next(self):
-        budget = SearchBudget(node_limit=500)
-        first = ramsey_number("clique", 3, 2, budget)  # needs 1076 nodes
+        budget = SearchBudget(node_limit=200)
+        first = ramsey_number("clique", 3, 2, budget)  # needs 370 nodes
         assert first.status == LOWER_BOUND_ONLY
-        assert first.nodes == 500 and budget.remaining == 0
+        assert first.nodes == 200 and budget.remaining == 0
         decided = ramsey_decide("clique", 3, 2, 6, budget)
         assert (decided.status, decided.nodes) == (BUDGET_EXCEEDED, 0)
         swept = vdw_number(3, 2, budget)
