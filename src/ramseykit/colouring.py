@@ -9,13 +9,20 @@ vertex is coloured: if its earlier vertices all hold that colour, the colour
 is forbidden at its last vertex.  A node is one attempt to give a vertex a
 colour; it fails when the colour is forbidden there, or when it leaves some
 later vertex with every colour forbidden (a wipeout), which cuts a subtree
-holding no proper colouring.  No automorphism pruning is attempted.  Every
-exhaustive search of the toolkit draws on a started `SearchBudget`;
-searches handed the same budget object share it.
+holding no proper colouring.  No automorphism pruning is attempted.
+
+A search that has spent WALK_AFTER nodes without settling runs, once, a
+seeded min-conflicts walk (WalkSAT-style; Selman, Kautz and Cohen, AAAI
+1994) for a proper colouring, then resumes where it stopped.  Each flip of
+the walk counts as a node.  Its witness is returned only once
+`verify_colouring` accepts it; "uncolourable" still comes only from
+exhaustion.  Every exhaustive search of the toolkit draws on a started
+`SearchBudget`; searches handed the same budget object share it.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 
@@ -90,6 +97,97 @@ class SearchResult:
     nodes: int
 
 
+WALK_AFTER = 65_536  # DFS nodes spent before the walk runs
+WALK_READS = 1 << 20  # incidence reads after which the walk gives up
+
+
+def _walk(hg: UniformHypergraph, r: int, budget: SearchBudget,
+          spent: int) -> tuple[Colouring | None, int]:
+    """Seeded min-conflicts walk: a proper r-colouring of hg or None, and
+    the flips made.
+
+    Needs r >= 2 and two distinct vertices in every edge.  The start is
+    drawn from random.Random(0).  Each flip recolours a vertex of a
+    uniformly random monochromatic edge: with probability 0.1 a random one
+    takes a random other colour, otherwise the (vertex, colour) with the
+    least break - make, ties going to the least recently flipped vertex.
+    An incident edge costs one mask test: are its other vertices all the
+    colour of its lowest one?  The walk gives up once `budget` is exhausted
+    at `spent` + flips nodes, or after WALK_READS incidence reads, a flip
+    reading the incidence lists of its edge's vertices.  A witness has its
+    colours renamed by first appearance in universe order.
+    """
+    rng = random.Random(0)
+    order = hg.universe
+    at = {v: pos for pos, v in enumerate(order)}
+    verts = [sorted({at[v] for v in e}) for e in hg.edges]
+    emask = [sum(1 << pos for pos in ps) for ps in verts]
+    inc = [hg.incidence[v] for v in order]
+    colour = [rng.randrange(r) for _ in order]
+    masks = [0] * r  # masks[c]: the positions coloured c
+    for pos, c in enumerate(colour):
+        masks[c] |= 1 << pos
+    mono = [ei for ei, m in enumerate(emask)
+            if masks[colour[verts[ei][0]]] & m == m]
+    where = [-1] * len(verts)  # index of each edge in mono, -1 if absent
+    for i, ei in enumerate(mono):
+        where[ei] = i
+    last = [0] * len(order)  # the flip that last recoloured each position
+    exhausted = budget.exhausted
+    flips = reads = 0
+    while mono:
+        if reads >= WALK_READS or exhausted(spent + flips):
+            return None, flips
+        ps = verts[mono[rng.randrange(len(mono))]]
+        if rng.random() < 0.1:
+            pos = rng.choice(ps)
+            c = rng.randrange(r - 1)
+            c += c >= colour[pos]
+        else:
+            best = None
+            for p in ps:
+                a, b = colour[p], 1 << p
+                breaks = [0] * r  # breaks[d]: edges p closes by taking d
+                make = 0  # monochromatic edges through p
+                for f in inc[p]:
+                    fs = verts[f]
+                    d = colour[fs[0] if fs[0] != p else fs[1]]
+                    m = emask[f]
+                    if (masks[d] | b) & m == m:
+                        if d == a:
+                            make += 1
+                        else:
+                            breaks[d] += 1
+                for d in range(r):
+                    key = (breaks[d] - make, last[p])
+                    if d != a and (best is None or key < best):
+                        best, pos, c = key, p, d
+        reads += sum(len(inc[p]) for p in ps)
+        b = 1 << pos
+        masks[colour[pos]] ^= b
+        masks[c] |= b
+        colour[pos] = c
+        flips += 1
+        last[pos] = flips
+        for f in inc[pos]:
+            m = emask[f]
+            i = where[f]
+            if masks[colour[verts[f][0]]] & m == m:
+                if i < 0:
+                    where[f] = len(mono)
+                    mono.append(f)
+            elif i >= 0:
+                moved = mono.pop()
+                if moved != f:
+                    mono[i] = moved
+                    where[moved] = i
+                where[f] = -1
+    names: dict[int, int] = {}
+    col = Colouring({v: names.setdefault(c, len(names) + 1)
+                     for v, c in zip(order, colour)}, r)
+    return (col if verify_colouring(hg, col) else None), flips
+
+
 def colouring_search(hg: UniformHypergraph, r: int,
                      budget: SearchBudget | None = None) -> SearchResult:
     """Find a proper r-colouring or prove none exists.
@@ -104,9 +202,17 @@ def colouring_search(hg: UniformHypergraph, r: int,
     extends that prefix.  The first proper colouring found is the same as
     without the second cut, reached in at most as many nodes.  An edge
     given with a repeated vertex counts each vertex once, so one with a
-    single vertex forbids every colour at it.  The search stops when
+    single vertex forbids every colour at it.
+
+    Once WALK_AFTER nodes are spent without a verdict, `_walk` looks for a
+    proper colouring, once, and the search resumes where it stopped if the
+    walk finds none; each flip counts as a node.  The walk is skipped for
+    one colour and when an edge has a single distinct vertex.  PROPER from
+    the walk comes with a witness `verify_colouring` accepted, its colours
+    numbered by first appearance in universe order as the search numbers
+    them; UNCOLOURABLE comes only from exhaustion.  The search stops when
     `budget` is exhausted, which yields BUDGET_EXCEEDED, never a wrong
-    verdict; the attempts made are charged to it.
+    verdict; the nodes spent are charged to it.
     """
     if r < 1:
         raise InputError(f"need at least one colour, got {r}")
@@ -142,6 +248,7 @@ def colouring_search(hg: UniformHypergraph, r: int,
     assigned = [0] * nv
     cap = [1] * nv  # highest colour each position may take
     nodes, pos, end = 0, 0, nv - 1
+    walk_at = WALK_AFTER if r > 1 and not dead else -1
     status, colouring = UNCOLOURABLE, None
     while pos >= 0:
         c = assigned[pos]
@@ -155,6 +262,13 @@ def colouring_search(hg: UniformHypergraph, r: int,
             assigned[pos] = 0
             pos -= 1
             continue
+        if nodes == walk_at:
+            walk_at = -1
+            colouring, flips = _walk(hg, r, budget, nodes)
+            nodes += flips
+            if colouring is not None:
+                status = PROPER
+                break
         if exhausted(nodes):
             status = BUDGET_EXCEEDED
             break

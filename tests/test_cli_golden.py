@@ -43,6 +43,8 @@ COMMANDS = [
      "50"],
     ["ramsey", "--kind", "clique", "-k", "3", "-r", "3", "--budget-nodes",
      "10"],
+    ["ramsey", "--kind", "clique", "-k", "3", "-r", "3", "-n", "16",
+     "--budget-nodes", "300000"],
     ["ramsey", "--kind", "cycle", "-k", "4", "-r", "2"],
     ["ramsey", "--kind", "clique", "-k", "2", "-r", "3"],
     ["ramsey", "--kind", "clique", "-k", "3", "-r", "2", "-n", "5"],

@@ -1,8 +1,8 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ramseykit.colouring import (
     ARROWS,
@@ -10,8 +10,10 @@ from ramseykit.colouring import (
     NOT_ARROWS,
     PROPER,
     UNCOLOURABLE,
+    WALK_AFTER,
     Colouring,
     SearchBudget,
+    _walk,
     arrows,
     colouring_search,
     verify_colouring,
@@ -325,3 +327,51 @@ class TestBudgetSemantics:
         res = colouring_search(system_of_copies("ap", 9, 3), 2,
                                SearchBudget(wall_secs=-1))
         assert (res.status, res.nodes) == (BUDGET_EXCEEDED, 0)
+
+
+class TestWalk:
+    """The seeded walk a search runs once it has spent WALK_AFTER nodes."""
+
+    def test_k16_three_colouring(self):
+        # R(3,3,3) = 17, so the triangles of K16 have a proper 3-colouring;
+        # the search alone spends 300,000 nodes without finding one
+        res = colouring_search(system_of_copies("clique", complete_graph(16), 3),
+                               3, SearchBudget(node_limit=300_000))
+        assert res.status == PROPER
+        assert res.nodes == WALK_AFTER + 2053
+        colours = res.witness.colours
+        index = {e: i for i, e in enumerate(combinations(range(16), 2))}
+        triangles = list(combinations(range(16), 3))
+        assert len(triangles) == 560
+        for a, b, c in triangles:
+            assert len({colours[index[a, b]], colours[index[a, c]],
+                        colours[index[b, c]]}) > 1
+        first = list(dict.fromkeys(colours[v] for v in range(120)))
+        assert first == [1, 2, 3]
+
+    def test_node_limit_inside_the_walk(self):
+        hg = system_of_copies("clique", complete_graph(16), 3)
+        budget = SearchBudget(node_limit=WALK_AFTER + 100)
+        res = colouring_search(hg, 3, budget)
+        assert (res.status, res.nodes, budget.remaining) == (BUDGET_EXCEEDED,
+                                                             WALK_AFTER + 100, 0)
+
+    def test_no_walk_past_an_edge_with_one_vertex(self):
+        # that edge is monochromatic under every colouring, so no walk ends
+        hg = UniformHypergraph(2, tuple(range(20)), ((19, 19),))
+        res = colouring_search(hg, 2, SearchBudget(node_limit=WALK_AFTER + 10))
+        assert (res.status, res.nodes) == (BUDGET_EXCEEDED, WALK_AFTER + 10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_vertex_hypergraphs(), st.integers(2, 4))
+    def test_witness_has_no_monochromatic_edge(self, hg, r):
+        assume(all(len(set(e)) > 1 for e in hg.edges))
+        witness, flips = _walk(hg, r, SearchBudget(node_limit=2000), 0)
+        # 2000 flips read far fewer than WALK_READS incidences here, so a
+        # walk ends without a witness only when its budget runs out
+        assert flips <= 2000 and (witness is not None or flips == 2000)
+        if witness is not None:
+            colours = witness.colours
+            assert sorted(colours) == list(hg.universe)
+            assert all(1 <= c <= r for c in colours.values())
+            assert all(len({colours[v] for v in e}) > 1 for e in hg.edges)
