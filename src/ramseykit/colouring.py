@@ -14,7 +14,8 @@ holding no proper colouring.  No automorphism pruning is attempted.
 A search that has spent WALK_AFTER nodes without settling runs, once, a
 seeded min-conflicts walk (WalkSAT-style; Selman, Kautz and Cohen, AAAI
 1994) for a proper colouring, then resumes where it stopped.  Each flip of
-the walk counts as a node.  Its witness is returned only once
+the walk counts as a node, and the walk gives up after about as much work
+as the search spent before it.  Its witness is returned only once
 `verify_colouring` accepts it; "uncolourable" still comes only from
 exhaustion.  Every exhaustive search of the toolkit draws on a started
 `SearchBudget`; searches handed the same budget object share it.
@@ -82,8 +83,11 @@ class SearchBudget:
         """
         if self.remaining is not None and nodes >= self.remaining:
             return True
-        return (self.deadline is not None and nodes % CHECK_EVERY == 0
-                and time.monotonic() > self.deadline)
+        return nodes % CHECK_EVERY == 0 and self.out_of_time()
+
+    def out_of_time(self) -> bool:
+        """Has the clock passed this budget's deadline?"""
+        return self.deadline is not None and time.monotonic() > self.deadline
 
     def charge(self, nodes: int):
         if self.remaining is not None:
@@ -98,7 +102,10 @@ class SearchResult:
 
 
 WALK_AFTER = 65_536  # DFS nodes spent before the walk runs
-WALK_READS = 1 << 20  # incidence reads after which the walk gives up
+# incidence reads after which the walk gives up: a read costs at most
+# about half a search node, so a failed walk costs about what the search
+# spent before it, or less
+WALK_READS = 2 * WALK_AFTER
 
 
 def _walk(hg: UniformHypergraph, r: int, budget: SearchBudget,
@@ -112,10 +119,11 @@ def _walk(hg: UniformHypergraph, r: int, budget: SearchBudget,
     takes a random other colour, otherwise the (vertex, colour) with the
     least break - make, ties going to the least recently flipped vertex.
     An incident edge costs one mask test: are its other vertices all the
-    colour of its lowest one?  The walk gives up once `budget` is exhausted
-    at `spent` + flips nodes, or after WALK_READS incidence reads, a flip
-    reading the incidence lists of its edge's vertices.  A witness has its
-    colours renamed by first appearance in universe order.
+    colour of its lowest one?  A flip reads the incidence lists of its
+    edge's vertices.  The walk gives up once `budget` is exhausted at
+    `spent` + flips nodes, once its clock, read every CHECK_EVERY incidence
+    reads, passes the deadline, or after WALK_READS reads.  A witness has
+    its colours renamed by first appearance in universe order.
     """
     rng = random.Random(0)
     order = hg.universe
@@ -134,10 +142,14 @@ def _walk(hg: UniformHypergraph, r: int, budget: SearchBudget,
         where[ei] = i
     last = [0] * len(order)  # the flip that last recoloured each position
     exhausted = budget.exhausted
-    flips = reads = 0
+    flips = reads = tick = 0  # tick: the reads at which the clock is read
     while mono:
         if reads >= WALK_READS or exhausted(spent + flips):
             return None, flips
+        if reads >= tick:
+            if budget.out_of_time():
+                return None, flips
+            tick = reads + CHECK_EVERY
         ps = verts[mono[rng.randrange(len(mono))]]
         if rng.random() < 0.1:
             pos = rng.choice(ps)

@@ -11,6 +11,7 @@ from ramseykit.colouring import (
     PROPER,
     UNCOLOURABLE,
     WALK_AFTER,
+    WALK_READS,
     Colouring,
     SearchBudget,
     _walk,
@@ -356,6 +357,21 @@ class TestWalk:
         assert (res.status, res.nodes, budget.remaining) == (BUDGET_EXCEEDED,
                                                              WALK_AFTER + 100, 0)
 
+    def test_walk_reads_the_clock_by_its_reads(self):
+        # 1 + flips is a multiple of CHECK_EVERY only at flip 1023, but the
+        # walk reads the clock before its first read
+        hg = system_of_copies("clique", complete_graph(16), 3)
+        budget = SearchBudget(wall_secs=-1)
+        assert _walk(hg, 3, budget, 1) == (None, 0)
+        assert _walk(hg, 3, SearchBudget(wall_secs=60), 1)[1] == 2053
+
+    def test_failed_walk_reads_at_most_walk_reads(self):
+        # a flip on K9's 5-cycles reads 5 lists of 210 edges; no 2-colouring
+        # exists (R(C5, C5) = 9), so the walk stops at its read cap
+        hg = system_of_copies("cycle", complete_graph(9), 5)
+        assert all(len(hg.incidence[v]) == 210 for v in hg.universe)
+        assert _walk(hg, 2, SearchBudget(), 0) == (None, -(-WALK_READS // 1050))
+
     def test_no_walk_past_an_edge_with_one_vertex(self):
         # that edge is monochromatic under every colouring, so no walk ends
         hg = UniformHypergraph(2, tuple(range(20)), ((19, 19),))
@@ -367,8 +383,9 @@ class TestWalk:
     def test_witness_has_no_monochromatic_edge(self, hg, r):
         assume(all(len(set(e)) > 1 for e in hg.edges))
         witness, flips = _walk(hg, r, SearchBudget(node_limit=2000), 0)
-        # 2000 flips read far fewer than WALK_READS incidences here, so a
-        # walk ends without a witness only when its budget runs out
+        # a flip reads at most 4 incidence lists of at most 12 edges, so
+        # 2000 flips stay under WALK_READS and a walk ends without a
+        # witness only when its budget runs out
         assert flips <= 2000 and (witness is not None or flips == 2000)
         if witness is not None:
             colours = witness.colours

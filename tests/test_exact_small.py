@@ -471,9 +471,9 @@ class TestPublishedNumbers:
 
     def test_r_c5_2(self):
         # R(C5, C5) = 9: Radziszowski, Small Ramsey Numbers, EJC DS1; the
-        # proof at 9 takes 149,925 search nodes and one failed walk of 999
+        # proof at 9 takes 149,925 search nodes and one failed walk of 125
         res = ramsey_number("cycle", 5, 2)
-        assert (res.status, res.value, res.nodes) == (EXACT, 9, 158_297)
+        assert (res.status, res.value, res.nodes) == (EXACT, 9, 157_423)
 
     def test_ex_9_girth_7(self):
         res = extremal_ex(9, {3, 4, 5, 6})
