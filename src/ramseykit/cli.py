@@ -30,7 +30,7 @@ from .colouring import (
 )
 from .extremal import extremal_ex, fact7_premise
 from .fbounds import f_bound_report
-from .graphs import Graph, InputError, graph_girth
+from .graphs import InputError, graph_girth
 from .hypergraphs import (
     enumerate_short_cycles,
     sparsity_girth,
@@ -81,8 +81,6 @@ def _jsonable(value):
     """The envelope encoding of a value: the one place that knows it."""
     if isinstance(value, Interval):
         return to_json(value)
-    if isinstance(value, Graph):  # its `_index` cache stays out
-        return {"n": value.n, "edges": [list(e) for e in value.edges]}
     if isinstance(value, Fraction):
         return {"num": str(value.numerator), "den": str(value.denominator)}
     if is_dataclass(value):

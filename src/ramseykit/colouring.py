@@ -118,18 +118,19 @@ def _walk(hg: UniformHypergraph, r: int, budget: SearchBudget,
     uniformly random monochromatic edge: with probability 0.1 a random one
     takes a random other colour, otherwise the (vertex, colour) with the
     least break - make, ties going to the least recently flipped vertex.
-    An incident edge costs one mask test: are its other vertices all the
-    colour of its lowest one?  A flip reads the incidence lists of its
-    edge's vertices.  The walk gives up once `budget` is exhausted at
-    `spent` + flips nodes, once its clock, read every CHECK_EVERY incidence
-    reads, passes the deadline, or after WALK_READS reads.  A witness has
-    its colours renamed by first appearance in universe order.
+    An incident edge costs one test of its `hg.masks` entry: are its
+    other vertices all the colour of its lowest one?  A flip reads the
+    incidence lists of its edge's vertices.  The walk gives up once
+    `budget` is exhausted at `spent` + flips nodes, once its clock, read
+    every CHECK_EVERY incidence reads, passes the deadline, or after
+    WALK_READS reads.  A witness has its colours renamed by first
+    appearance in universe order.
     """
     rng = random.Random(0)
     order = hg.universe
     at = {v: pos for pos, v in enumerate(order)}
     verts = [sorted({at[v] for v in e}) for e in hg.edges]
-    emask = [sum(1 << pos for pos in ps) for ps in verts]
+    emask = hg.masks
     inc = [hg.incidence[v] for v in order]
     colour = [rng.randrange(r) for _ in order]
     masks = [0] * r  # masks[c]: the positions coloured c
@@ -212,9 +213,9 @@ def colouring_search(hg: UniformHypergraph, r: int,
     fails when its colour is forbidden at its vertex, and also when it
     forbids the last colour left at some later vertex, since no colouring
     extends that prefix.  The first proper colouring found is the same as
-    without the second cut, reached in at most as many nodes.  An edge
-    given with a repeated vertex counts each vertex once, so one with a
-    single vertex forbids every colour at it.
+    without the second cut, reached in at most as many nodes.  Edges are
+    read from `hg.masks`: a repeated vertex counts once, and an edge with
+    a single distinct vertex forbids every colour at it.
 
     Once WALK_AFTER nodes are spent without a verdict, `_walk` looks for a
     proper colouring, once, and the search resumes where it stopped if the
@@ -232,16 +233,12 @@ def colouring_search(hg: UniformHypergraph, r: int,
     nv = len(order)
     if nv == 0:
         return SearchResult(PROPER, Colouring({}, r), 0)
-    bit = {v: 1 << pos for pos, v in enumerate(order)}
-    bits = list(bit.values())
+    bits = [1 << pos for pos in range(nv)]
     # pen[pos]: for each edge whose second-to-last vertex is at pos, the
     # bitmask of its positions but the last, and the bit of the last
     pen: list[list[tuple[int, int]]] = [[] for _ in order]
     dead = 0  # the positions of edges with a single distinct vertex
-    for e in hg.edges:
-        mask = 0
-        for v in e:
-            mask |= bit[v]
+    for mask in hg.masks:
         last = 1 << mask.bit_length() - 1
         mask ^= last
         if mask:

@@ -8,7 +8,8 @@ list, so identical edge sets always get identical identifiers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -21,10 +22,11 @@ class InputError(ValueError):
 class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]  # sorted pairs (u, v) with u < v, lex order
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.edges)})
+    @cached_property
+    def _index(self) -> dict[tuple[int, int], int]:
+        """Edge -> its position in the sorted edge list, built once."""
+        return {e: i for i, e in enumerate(self.edges)}
 
     @property
     def num_edges(self) -> int:

@@ -52,6 +52,16 @@ class UniformHypergraph:
                 index[v].append(ei)
         return {v: tuple(eis) for v, eis in index.items()}
 
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Edge -> the OR of bit i over its vertices universe[i], built once."""
+        bit = {v: 1 << i for i, v in enumerate(self.universe)}
+        masks = [0] * len(self.edges)
+        for ei, e in enumerate(self.edges):
+            for v in e:
+                masks[ei] |= bit[v]
+        return tuple(masks)
+
     def restrict(self, removed: Iterable[int]) -> "UniformHypergraph":
         """Sub-hypergraph on universe minus `removed`; edges meeting it drop."""
         gone = set(removed)
@@ -203,20 +213,14 @@ def sparsity_girth(hg: UniformHypergraph, g: int) -> GirthVerdict:
     a violator of least size is connected (see the module docstring): below
     that size nothing violates, and at it the lex-least violator is the
     lex-least connected one, so the first root holding a violator holds it.
-    Neighbour lists and vertex masks are made only for the edges reached.
+    Spans are read from `hg.masks`; neighbour lists are built lazily.
     """
     if g < 2:
         raise InputError(f"girth threshold must be >= 2, got {g}")
     edges = hg.edges
     incidence = hg.incidence
-    bit = {v: 1 << i for i, v in enumerate(hg.universe)}
-    masks: dict[int, int] = {}
+    masks = hg.masks
     neighbours: dict[int, list[int]] = {}
-
-    def mask(e: int) -> int:
-        if e not in masks:
-            masks[e] = sum(bit[v] for v in edges[e])
-        return masks[e]
 
     def later_neighbours(e: int, root: int) -> list[int]:
         if e not in neighbours:
@@ -233,7 +237,7 @@ def sparsity_girth(hg: UniformHypergraph, g: int) -> GirthVerdict:
         def grow(span: int, ext: list[int], closed: set[int]) -> None:
             if len(chosen) + 1 == size:
                 for e in ext:
-                    spanned = (span | mask(e)).bit_count()
+                    spanned = (span | masks[e]).bit_count()
                     if spanned <= limit:
                         found.append((tuple(sorted(chosen + [e])), spanned))
                 return
@@ -241,13 +245,13 @@ def sparsity_girth(hg: UniformHypergraph, g: int) -> GirthVerdict:
                 fresh = [f for f in later_neighbours(e, root)
                          if f not in closed]
                 chosen.append(e)
-                grow(span | mask(e), ext[i + 1:] + fresh, closed.union(fresh))
+                grow(span | masks[e], ext[i + 1:] + fresh, closed.union(fresh))
                 chosen.pop()
 
         for root in range(len(edges)):
             ext = later_neighbours(root, root)
             chosen.append(root)
-            grow(mask(root), ext, {root, *ext})
+            grow(masks[root], ext, {root, *ext})
             chosen.pop()
             if found:
                 return GirthVerdict(g, False, *min(found))
@@ -275,8 +279,7 @@ def enumerate_short_cycles(hg: UniformHypergraph, g: int) -> CycleReport:
     the edges meeting e in one vertex: a path closes through `near[last] &
     near[start]` past path[1], and grows through the neighbours of `last`.
     """
-    bit = {v: 1 << i for i, v in enumerate(hg.universe)}
-    masks = [sum(bit[v] for v in e) for e in hg.edges]
+    masks = hg.masks
     m = len(masks)
     cycles: list[tuple[int, tuple[int, ...]]] = []
 

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 from itertools import combinations, permutations
 
 import pytest
@@ -84,6 +85,24 @@ class TestGraphFromEdges:
         g = graph_from_edges(4, [(2, 3), (0, 1), (0, 2)])
         assert g.edges == ((0, 1), (0, 2), (2, 3))
         assert g.edge_id(3, 2) == 2
+
+
+class TestEdgeIndex:
+    def test_fields_are_vertex_count_and_edges(self):
+        assert [f.name for f in fields(Graph)] == ["n", "edges"]
+
+    def test_not_part_of_equality(self):
+        g = petersen()
+        twin = petersen()
+        assert g.edge_id(0, 1) == 0
+        assert g == twin and hash(g) == hash(twin)
+
+    def test_non_edge_raises_key_error(self):
+        g = petersen()
+        with pytest.raises(KeyError):
+            g.edge_id(0, 2)
+        with pytest.raises(KeyError):
+            g.edge_id(3, 3)
 
 
 class TestGirth:

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ramseykit.graphs import InputError, complete_graph, graph_from_edges
 from ramseykit.hypergraphs import (
@@ -19,6 +19,7 @@ from ramseykit.hypergraphs import (
     sparsity_girth,
     system_of_copies,
 )
+from test_colouring import repeated_vertex_hypergraphs
 
 
 def brute_force_ap_count(n: int, k: int) -> int:
@@ -233,6 +234,25 @@ class TestSparsityGirth:
         assert verdict.witness_edges == (0, 1)
         assert verdict.witness_span == 4
 
+    def test_repeated_vertex_counts_once_in_span(self):
+        # the first edge lists vertex 1 twice; the two edges span all six
+        hg = UniformHypergraph(4, (1, 2, 3, 4, 5, 6),
+                               ((1, 1, 2, 3), (3, 4, 5, 6)))
+        assert sparsity_girth(hg, 3) == GirthVerdict(3, False, (0, 1), 6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_vertex_hypergraphs(), st.integers(2, 5))
+    def test_repeated_vertices_span_and_census(self, hg, g):
+        assume(hg.h >= 2)
+        verdict = sparsity_girth(hg, g)
+        if not verdict.satisfied:
+            span = set().union(*(hg.edges[i] for i in verdict.witness_edges))
+            assert verdict.witness_span == len(span)
+        for j, idxs in enumerate_short_cycles(hg, max(g, 3)).cycles:
+            if j == 2:
+                a, b = (set(hg.edges[i]) for i in idxs)
+                assert len(a & b) >= 2
+
     def test_witness_validates(self):
         rng = random.Random(11)
         for _ in range(100):
@@ -268,11 +288,17 @@ class TestIncidence:
                 assert index[v] == tuple(
                     ei for ei, e in enumerate(hg.edges) if v in e)
             assert hg.incidence is index
+            masks = hg.masks
+            assert masks == tuple(
+                sum(1 << hg.universe.index(v) for v in set(e))
+                for e in hg.edges)
+            assert hg.masks is masks
 
     def test_not_part_of_equality(self):
         hg = system_of_copies("ap", 9, 3)
         twin = system_of_copies("ap", 9, 3)
         hg.incidence
+        hg.masks
         assert hg == twin and hash(hg) == hash(twin)
 
 
