@@ -431,12 +431,17 @@ def cmd_cycles(ns) -> int:
                 lines)
 
 
+# "arrows" and "uncolourable" come only from exhausting the search; a
+# witness may come from the search or from the walk it runs when stalled
+_WITNESS = "a verified colouring from the search or its seeded walk"
+
+
 def cmd_colour(ns) -> int:
     hg, src = _load_system(ns)
     res = colouring_search(hg, ns.r, _budget(ns))
     return emit(ns, "colour", {**src, "r": ns.r}, res,
-                "exhaustive backtracking over vertex colourings with "
-                "canonical colour classes",
+                "backtracking over vertex colourings with canonical colour "
+                f"classes: uncolourable by exhaustion, proper by {_WITNESS}",
                 [f"  {res.status} ({res.nodes} nodes)"])
 
 
@@ -446,8 +451,8 @@ def cmd_arrows(ns) -> int:
     kind, base, src = _copy_source(ns)
     res = arrows(base, kind, ns.k, ns.r, _budget(ns))
     return emit(ns, "arrows", {**src, "kind": kind, "r": ns.r}, res,
-                "arrowing verdict via exhaustive colouring search on the "
-                "system of copies",
+                "colouring search on the system of copies: arrows by "
+                f"exhaustion, not-arrows by {_WITNESS}",
                 [f"  {res.status} ({res.nodes} nodes)"])
 
 
@@ -470,8 +475,10 @@ def cmd_ramsey(ns) -> int:
         ns, "ramsey", {"kind": ns.kind, "k": ns.k, "r": ns.r},
         lambda budget: ramsey_decide(ns.kind, ns.k, ns.r, ns.n, budget),
         lambda budget: ramsey_number(ns.kind, ns.k, ns.r, budget),
-        "exhaustive arrowing decision on the complete graph",
-        "ascending sweep of exhaustive arrowing decisions")
+        "arrowing decision on the complete graph: arrows by exhaustion, "
+        f"not-arrows by {_WITNESS}",
+        "ascending sweep of arrowing decisions: arrows by exhaustion, each "
+        f"smaller size by {_WITNESS}")
 
 
 def cmd_vdw(ns) -> int:
@@ -479,8 +486,10 @@ def cmd_vdw(ns) -> int:
         ns, "vdw", {"k": ns.k, "r": ns.r},
         lambda budget: vdw_decide(ns.n, ns.k, ns.r, budget),
         lambda budget: vdw_number(ns.k, ns.r, budget),
-        "exhaustive progression-colouring decision for the interval",
-        "ascending sweep of exhaustive interval decisions")
+        "progression-colouring decision for the interval: arrows by "
+        f"exhaustion, not-arrows by {_WITNESS}",
+        "ascending sweep of interval decisions: arrows by exhaustion, each "
+        f"smaller size by {_WITNESS}")
 
 
 def cmd_extremal(ns) -> int:

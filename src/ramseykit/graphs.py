@@ -3,6 +3,10 @@
 Graphs are immutable once built.  Edge identifiers (used as hypergraph
 universes elsewhere) are positions in the lexicographically sorted edge
 list, so identical edge sets always get identical identifiers.
+
+Girth is exact: one breadth-first search from every root, run layer by
+layer on int bitmasks of neighbours, serves both `graph_girth` and the
+threshold check `girth_at_least`, which stops at its first short cycle.
 """
 
 from __future__ import annotations
@@ -38,15 +42,6 @@ class Graph:
             u, v = v, u
         return self._index[(u, v)]
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for row in adj:
-            row.sort()
-        return adj
-
     def adjacency_bits(self) -> list[int]:
         """Neighbour sets as int bitmasks (bit v set iff v adjacent)."""
         bits = [0] * self.n
@@ -74,70 +69,51 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, tuple(combinations(range(n), 2)))
 
 
-def graph_girth(g: Graph) -> int | float:
-    """Length of the shortest cycle, or math.inf for forests.
+def _shorter_cycles(g: Graph, below: int | float) -> Iterator[int]:
+    """Cycle lengths below `below`, each shorter than the one before; the
+    last one yielded is the girth when that is below `below`.
 
-    BFS from every vertex; each non-tree edge {x,y} seen from root r closes
-    a walk of length dist[x]+dist[y]+1 which contains a cycle no longer than
-    itself, and rooting at a vertex of a shortest cycle attains equality.
+    Breadth-first layers, as bitmasks, from every root through the vertices
+    not below it (Itai and Rodeh, SIAM J. Comput. 1978).  At depth d an
+    edge inside the layer closes a walk of length 2d+1, and a vertex of the
+    next layer with two neighbours in the layer closes one of length 2d+2;
+    each such walk holds a cycle no longer than itself, and rooting at the
+    least vertex of a shortest cycle attains its length.  A root stops once
+    2d+1 reaches `below`, which falls to each length yielded.
     """
-    adj = g.adjacency()
-    best = math.inf
+    bits = g.adjacency_bits()
     for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            if 2 * dist[x] >= best:  # any further candidate is >= 2*dist[x]
-                continue
-            for y in adj[x]:
-                if dist[y] == -1:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
-                elif parent[x] != y and parent[y] != x:
-                    cand = dist[x] + dist[y] + 1
-                    if cand < best:
-                        best = cand
-    return best
+        layer, seen = 1 << root, (2 << root) - 1  # seen: vertices 0..root
+        depth = 0
+        while layer and 2 * depth + 1 < below:
+            once = twice = 0  # neighbours of at least one / two in layer
+            rest = layer
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nbrs = bits[low.bit_length() - 1]
+                twice |= once & nbrs
+                once |= nbrs
+            odd = once & layer  # ends of the edges inside the layer
+            length = 2 * depth + (1 if odd else 2)
+            if (odd or twice & ~seen) and length < below:
+                below = length
+                yield below
+                break  # deeper layers close only longer walks
+            layer = once & ~seen
+            seen |= layer
+            depth += 1
+
+
+def graph_girth(g: Graph) -> int | float:
+    """Length of the shortest cycle, or math.inf for forests."""
+    return min(_shorter_cycles(g, math.inf), default=math.inf)
 
 
 def girth_at_least(g: Graph, k: int) -> bool:
-    """True iff g has no cycle shorter than k (i.e. graph_girth(g) >= k).
-
-    Cheaper than graph_girth: a cycle of length l < k produces, from a root
-    on it, a non-tree edge between vertices at distance <= l // 2, so BFS
-    only needs (k - 1) // 2 layers per root.
-    """
-    if k <= 3:
-        return True
-    adj = g.adjacency()
-    depth_cap = (k - 1) // 2
-    for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for y in adj[x]:
-                if dist[y] == -1:
-                    # vertices beyond depth_cap cannot take part in a
-                    # candidate shorter than k, so stop expanding there
-                    if dist[x] < depth_cap:
-                        dist[y] = dist[x] + 1
-                        parent[y] = x
-                        queue.append(y)
-                elif parent[x] != y and parent[y] != x:
-                    if dist[x] + dist[y] + 1 < k:
-                        return False
-    return True
+    """True iff g has no cycle shorter than k (i.e. graph_girth(g) >= k);
+    stops at the first shorter cycle it meets."""
+    return next(_shorter_cycles(g, k), None) is None
 
 
 def enumerate_graph_cycles(g: Graph, length: int) -> Iterator[tuple[int, ...]]:

@@ -2,7 +2,7 @@
 
 Graph files: first line "n m", then m lines "u v" with 0-indexed ascending
 pairs in lexicographic order.  Hypergraph files: first line "h N m", then
-m lines of h ascending vertex indices; the universe is 0..N-1, so
+m distinct lines of h ascending vertex indices; the universe is 0..N-1, so
 hypergraphs over other universes are written through their sorted-position
 relabelling.  Colouring files: one line of whitespace-separated colour
 indices, position i holding the colour of universe element i (in sorted
@@ -93,14 +93,17 @@ def write_graph(g: Graph, path) -> None:
 
 def read_hypergraph(path) -> UniformHypergraph:
     (h, n, _), rows = _read_rows(path, 3, "hyperedges")
-    edges = []
+    edges: dict[tuple[int, ...], int] = {}  # edge -> its line number
     for i, line in rows:
-        edge = _ints(path, i, line, h)
+        edge = tuple(_ints(path, i, line, h))
         if any(not 0 <= v < n for v in edge):
             raise FormatError(path, i, f"vertex outside 0..{n - 1}")
-        if edge != sorted(set(edge)):
+        if edge != tuple(sorted(set(edge))):
             raise FormatError(path, i, "vertices must be distinct ascending")
-        edges.append(tuple(edge))
+        if edge in edges:
+            raise FormatError(path, i, f"duplicate hyperedge, first on line "
+                                       f"{edges[edge]}")
+        edges[edge] = i
     try:
         return hypergraph_from_edges(h, range(n), edges)
     except InputError as exc:

@@ -138,6 +138,8 @@ def _fact_setup(colours, k: int, r: int, w: int):
         raise InputError(f"need a colour before the last one, got r={r}")
     mapping = colours.colours if hasattr(colours, "colours") else dict(colours)
     n = len(mapping)
+    if n == 0:
+        raise InputError("colouring is empty; the dichotomy needs n >= 1")
     if set(mapping) != set(range(1, n + 1)):
         raise InputError("colouring must cover an interval {1..n} totally")
     for c in mapping.values():

@@ -97,6 +97,14 @@ class TestHypergraphFiles:
         with pytest.raises(FormatError, match=r":5: vertex outside"):
             read_hypergraph(path)
 
+    def test_duplicate_row_rejected_at_its_line(self, tmp_path):
+        # merged, the two rows would read as one edge and hide a 2-cycle
+        path = tmp_path / "dup.hg"
+        path.write_text("3 4 2\n0 1 2\n\n0 1 2\n")
+        with pytest.raises(FormatError,
+                           match=r":4: duplicate hyperedge, first on line 2"):
+            read_hypergraph(path)
+
 
 class TestConfigFile:
     def test_parse(self, tmp_path):
@@ -344,6 +352,19 @@ class TestCli:
                                                              k=100)))
                          for _ in range(4)]
         assert blob["result"]["tallies"]["both"] == 4
+
+    @pytest.mark.parametrize("source", [
+        ["--random", "1", "--seed", "1"], ["--colouring", "empty.col"]])
+    def test_fact_vdw_empty_interval_exits_1(self, capsys, tmp_path,
+                                             monkeypatch, source):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.col").write_text("")
+        code = dispatch(["fact-vdw", "-n", "0", "-k", "3", "-r", "2", "-W",
+                         "3", *source, "--json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert "colouring is empty" in captured.err
 
     def verify_w(self, capsys, source, w):
         code = dispatch(["fact-vdw", "-n", "2000", "-k", "3", "-r", "2",

@@ -26,8 +26,8 @@ def _recursive_graph_cycles(g: Graph, length: int):
     time."""
     if length < 3 or length > g.n:
         return
-    adj = g.adjacency()
     bits = g.adjacency_bits()
+    adj = [[y for y in range(g.n) if b >> y & 1] for b in bits]
     path = [0] * length
 
     def extend(depth: int, used: int, start: int):
@@ -137,6 +137,44 @@ class TestGirth:
             exact = graph_girth(g)
             for k in range(4, 9):
                 assert girth_at_least(g, k) == (exact >= k)
+
+
+def pg2_incidence(q: int) -> Graph:
+    """Point-line incidence graph of PG(2,q), q prime: points first, then
+    lines, each a normalised nonzero vector of F_q^3; girth 6."""
+    vecs = [(1, a, b) for a in range(q) for b in range(q)]
+    vecs += [(0, 1, b) for b in range(q)] + [(0, 0, 1)]
+    m = len(vecs)
+    return graph_from_edges(2 * m, [
+        (i, m + j) for i, p in enumerate(vecs) for j, l in enumerate(vecs)
+        if sum(a * b for a, b in zip(p, l)) % q == 0])
+
+
+def nx_girth(g: Graph) -> int | float:
+    nx = pytest.importorskip("networkx")
+    oracle = nx.Graph()
+    oracle.add_nodes_from(range(g.n))
+    oracle.add_edges_from(g.edges)
+    return nx.girth(oracle)
+
+
+class TestGirthAgainstNetworkx:
+    def assert_agrees(self, g: Graph):
+        want = nx_girth(g)
+        assert graph_girth(g) == want
+        for k in range(9):
+            assert girth_at_least(g, k) == (want >= k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 24), st.floats(0, 0.5), st.integers(0, 2**32))
+    def test_gnp(self, n, p, seed):
+        self.assert_agrees(sample_gnp(n, p, seed))
+
+    @pytest.mark.parametrize("g, girth", [
+        (petersen(), 5), (pg2_incidence(2), 6), (pg2_incidence(3), 6)])
+    def test_named_graphs(self, g, girth):
+        assert nx_girth(g) == girth
+        self.assert_agrees(g)
 
 
 class TestCycleEnumeration:
