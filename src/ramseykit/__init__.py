@@ -80,6 +80,7 @@ from .search import (
     SearchBudget,
     fact_vdw_branch,
     fact_vdw_check,
+    fact_vdw_random,
     ramsey_decide,
     ramsey_number,
     vdw_decide,

@@ -5,17 +5,20 @@ included) so outputs are self-describing.  Exit codes separate certainty
 from resource limits: 0 for definitive verdicts, 2 when a budget ran out,
 1 for input errors.  Handlers pass their result objects to `emit`, the one
 place that knows the envelope encoding; it returns exit code 2 for a
-result whose status is budget-exceeded or lower-bound-only.
+result whose status is budget-exceeded or lower-bound-only.  The parser is
+built once per process, on the first dispatch, and shared by every later
+one: parsing keeps no state in it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import secrets
+import random
 import sys
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -53,8 +56,8 @@ from .search import (
     EXACT,
     LOWER_BOUND_ONLY,
     FactViolationError,
-    fact_vdw_branch,
     fact_vdw_check,
+    fact_vdw_random,
     ramsey_decide,
     ramsey_number,
     vdw_decide,
@@ -126,7 +129,7 @@ def _need_seed(ns) -> int:
     """Explicit seed, or a generated one (always echoed in the output)."""
     if ns.seed is not None:
         return ns.seed
-    return secrets.randbits(32)
+    return random.SystemRandom().getrandbits(32)
 
 
 def _flag(dest: str) -> str:
@@ -176,6 +179,7 @@ def _add_system_flags(sub):
     sub.add_argument("-k", type=int, help="pattern size")
 
 
+@cache
 def build_parser() -> Parser:
     parser = Parser(prog="ramseykit",
                     description="Ramsey-type constructions with girth "
@@ -502,8 +506,6 @@ def cmd_extremal(ns) -> int:
 
 
 def cmd_fact_vdw(ns) -> int:
-    import random as _random
-
     if (ns.colouring is None) == (ns.random is None):
         raise InputError("choose exactly one of --colouring and --random")
     if ns.colouring is not None:
@@ -524,16 +526,8 @@ def cmd_fact_vdw(ns) -> int:
                     "or a heavy last colour class",
                     [f"  branch = {res.branch}"])
     seed = _need_seed(ns)
-    rng = _random.Random(seed)
-    tallies = {"first": 0, "second": 0, "both": 0}
-    violations = 0
-    points, palette = range(1, ns.n + 1), range(1, ns.r + 2)
-    for _ in range(ns.random):
-        colours = dict(zip(points, rng.choices(palette, k=ns.n)))
-        try:
-            tallies[fact_vdw_branch(colours, ns.k, ns.r, ns.W)] += 1
-        except FactViolationError:
-            violations += 1
+    tallies, violations = fact_vdw_random(ns.n, ns.k, ns.r, ns.W, ns.random,
+                                          seed)
     emit(ns, "fact-vdw", {**config, "random": ns.random, "seed": seed},
          {"tallies": tallies, "violations": violations},
          "two-branch dichotomy over random colourings",

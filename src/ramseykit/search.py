@@ -9,6 +9,7 @@ every size it decides from the one `SearchBudget` it is handed.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
@@ -132,19 +133,32 @@ def count_monochromatic_aps(masks: Sequence[int], n: int, k: int,
     return sum(_mono_counts(masks, n, k, max_colour))
 
 
-def _fact_setup(colours, k: int, r: int, w: int):
-    """(masks, n, ap_count(n, k), last class size) of a valid colouring."""
+def _fact_shape(n: int, r: int) -> None:
+    """Refuse r < 1, then an empty interval: the checks every colouring
+    of {1..n} needs before its colours are read."""
     if r < 1:
         raise InputError(f"need a colour before the last one, got r={r}")
+    if n < 1:
+        raise InputError("colouring is empty; the dichotomy needs n >= 1")
+
+
+def _fact_row(colours, r: int) -> str:
+    """The row of a valid (r+1)-colouring of {1..n}: chr(colour) per
+    element, element n first, so a colour's mask is one base-2 parse."""
     mapping = colours.colours if hasattr(colours, "colours") else dict(colours)
     n = len(mapping)
-    if n == 0:
-        raise InputError("colouring is empty; the dichotomy needs n >= 1")
+    _fact_shape(n, r)
     if set(mapping) != set(range(1, n + 1)):
         raise InputError("colouring must cover an interval {1..n} totally")
     for c in mapping.values():
         if not 1 <= c <= r + 1:
             raise InputError(f"colour {c} outside 1..{r + 1}")
+    return "".join(map(chr, map(mapping.__getitem__, range(n, 0, -1))))
+
+
+def _fact_setup(row: str, k: int, r: int, w: int):
+    """(masks, n, ap_count(n, k), last class size) of a colouring's row."""
+    n = len(row)
     long_aps = ap_count_formula(n, w) if n >= w else 0
     if 2 * w * long_aps < n * n:
         raise InputError(
@@ -152,8 +166,6 @@ def _fact_setup(colours, k: int, r: int, w: int):
             f"in {{1..{n}}} but the argument needs at least n^2/(2W) = "
             f"{n * n / (2 * w):.0f}")
     ap_total = ap_count_formula(n, k)
-    # element n first, so a colour's mask is one base-2 parse, not n ORs
-    row = "".join(map(chr, map(mapping.__getitem__, range(n, 0, -1))))
     zeros = dict.fromkeys(range(1, r + 2), "0")
     masks = [0, *(int(row.translate({**zeros, c: "1"}) + "0", 2)
                   for c in range(1, r + 2))]
@@ -180,17 +192,44 @@ def fact_vdw_check(colours, k: int, r: int, w: int) -> FactCheckResult:
     at least n^2/(2W) W-term APs; shorter intervals are refused outright
     rather than guessed at.  W itself is taken as given.
     """
-    masks, n, ap_total, last_size = _fact_setup(colours, k, r, w)
+    masks, n, ap_total, last_size = _fact_setup(_fact_row(colours, r), k, r, w)
     mono = count_monochromatic_aps(masks, n, k, r)
     return FactCheckResult(_branch(mono, ap_total, last_size, n, w), mono,
                            ap_total / w**3, last_size, n / (4 * w))
 
 
-def fact_vdw_branch(colours, k: int, r: int, w: int) -> str:
-    """`fact_vdw_check(colours, k, r, w).branch`, counting monochromatic
-    APs only until the first disjunct holds: the count never falls."""
-    masks, n, ap_total, last_size = _fact_setup(colours, k, r, w)
+def _row_branch(row: str, k: int, r: int, w: int) -> str:
+    """The branch of a row, counting monochromatic APs only until the
+    first disjunct holds: the count never falls."""
+    masks, n, ap_total, last_size = _fact_setup(row, k, r, w)
     for mono in accumulate(_mono_counts(masks, n, k, r), initial=0):
         if mono * w**3 > ap_total:
             break
     return _branch(mono, ap_total, last_size, n, w)
+
+
+def fact_vdw_branch(colours, k: int, r: int, w: int) -> str:
+    """`fact_vdw_check(colours, k, r, w).branch`, found more cheaply."""
+    return _row_branch(_fact_row(colours, r), k, r, w)
+
+
+def fact_vdw_random(n: int, k: int, r: int, w: int, count: int,
+                    seed: int) -> tuple[dict[str, int], int]:
+    """Branch tallies and violations over `count` seeded random
+    (r+1)-colourings of {1..n}.
+
+    Each colouring is one `choices` call over the colours 1..r+1 in order,
+    the draws of `Random(seed).choices(range(1, r + 2), k=n)`, taken
+    straight as a row: it covers {1..n} in range by construction."""
+    _fact_shape(n, r)
+    rng = random.Random(seed)
+    palette = [chr(c) for c in range(1, r + 2)]
+    tallies = {FIRST_BRANCH: 0, SECOND_BRANCH: 0, BOTH_BRANCHES: 0}
+    violations = 0
+    for _ in range(count):
+        row = "".join(rng.choices(palette, k=n))[::-1]
+        try:
+            tallies[_row_branch(row, k, r, w)] += 1
+        except FactViolationError:
+            violations += 1
+    return tallies, violations

@@ -26,7 +26,9 @@ import os
 import tempfile
 from pathlib import Path
 
-from ramseykit.cli import dispatch
+import pytest
+
+from ramseykit.cli import EXIT_ERROR, build_parser, dispatch
 
 FIXTURE = Path(__file__).with_name("golden") / "cli_budget.jsonl"
 COMMANDS_FIXTURE = Path(__file__).with_name("golden") / "cli_commands.jsonl"
@@ -125,7 +127,7 @@ def render() -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_commands() -> str:
+def render_commands(commands=TEXT_COMMANDS) -> str:
     lines = []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
@@ -133,7 +135,7 @@ def render_commands() -> str:
         try:
             for name, text in FILES.items():
                 Path(name).write_text(text, encoding="ascii")
-            for argv in TEXT_COMMANDS:
+            for argv in commands:
                 code, out = _run(argv + ["--json"])
                 text_code, text = _run(argv)
                 lines.append(json.dumps(
@@ -152,6 +154,33 @@ def test_envelopes_match_golden():
 
 def test_commands_match_golden():
     assert render_commands() == COMMANDS_FIXTURE.read_text()
+
+
+def test_one_parser_serves_every_dispatch_afresh(capsys, tmp_path):
+    """The parser is built once per process.  A dispatch that failed to
+    parse, printed help or read --config leaves nothing for the next."""
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as info:
+        dispatch(["girth", "--frobnicate"])
+    assert info.value.code == EXIT_ERROR
+    assert dispatch([]) == EXIT_ERROR
+    assert "usage: ramseykit" in capsys.readouterr().out
+    conf = tmp_path / "v.conf"
+    conf.write_text("n=9\nbudget_nodes=10\n")
+    argv = ["vdw", "-k", "3", "-r", "2"]
+    code, out = _run([*argv, "--config", str(conf), "--json"])
+    assert (code, json.loads(out)["config"]["n"]) == (2, 9)
+    golden = {tuple(line["argv"]): line for line in map(
+        json.loads, FIXTURE.read_text().splitlines())}
+    for budgeted in ([*argv, "-n", "8"], argv):
+        code, out = _run(budgeted + ["--json"])
+        assert (code, json.loads(out)) == (golden[tuple(budgeted)]["exit"],
+                                           golden[tuple(budgeted)]["envelope"])
+    sample = [argv for argv in TEXT_COMMANDS
+              if argv[0] in ("fact-vdw", "girth", "fbounds")]
+    expected = [line for line in COMMANDS_FIXTURE.read_text().splitlines()
+                if json.loads(line)["argv"] in sample]
+    assert render_commands(sample) == "\n".join(expected) + "\n"
 
 
 if __name__ == "__main__":

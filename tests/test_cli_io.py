@@ -1,11 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from ramseykit import cli
 from ramseykit.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, dispatch
 from ramseykit.graphs import complete_graph, graph_from_edges, graph_girth
 from ramseykit.hypergraphs import system_of_copies
@@ -18,7 +20,13 @@ from ramseykit.io import (
     write_graph,
     write_hypergraph,
 )
+from ramseykit.search import (
+    FactViolationError,
+    fact_vdw_branch,
+    fact_vdw_random,
+)
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 RECORD_SCHEMA = json.loads((SCHEMA_DIR / "record-v1.json").read_text())
 OUTPUT_SCHEMA = json.loads((SCHEMA_DIR / "output-v1.json").read_text())
@@ -209,6 +217,16 @@ class TestCli:
                                    "-n", "20", "-p", "0.5")
         assert code == EXIT_OK
         assert isinstance(blob["config"]["seed"], int)
+        assert 0 <= blob["config"]["seed"] < 2**32
+
+    def test_import_leaves_out_secrets_and_hmac(self):
+        # a generated seed needs no cryptographic module at import time
+        probe = ("import sys, ramseykit.cli; "
+                 "print(sorted({'secrets', 'hmac'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
 
     def test_sample_gnp_roundtrip(self, capsys, tmp_path):
         out = tmp_path / "g.graph"
@@ -336,22 +354,56 @@ class TestCli:
         assert blob["result"]["violations"] == 0
 
     def test_fact_vdw_random_draws_each_colouring_with_choices(
-            self, capsys, monkeypatch):
-        # one choices() call per colouring, over the r+1 colours in order
-        drawn = []
-        branch = cli.fact_vdw_branch
-        monkeypatch.setattr(cli, "fact_vdw_branch",
-                            lambda colours, *a: drawn.append(colours)
-                            or branch(colours, *a))
+            self, capsys):
+        # each colouring is one choices() call over the colours 1..r+1 in
+        # order, judged as fact_vdw_branch judges it as a dict; the cases
+        # reach every branch and a violation (W is taken as given)
+        cases = [(100, 3, 2, 9, 7), (100, 4, 2, 3, 1), (400, 3, 63, 16, 1),
+                 (400, 3, 95, 20, 2)]
+        reference = {}
+        for n, k, r, w, seed in cases:
+            rng = random.Random(seed)
+            tallies = dict.fromkeys(["first", "second", "both"], 0)
+            violations = 0
+            for _ in range(8):
+                colours = dict(zip(range(1, n + 1),
+                                   rng.choices(range(1, r + 2), k=n)))
+                try:
+                    tallies[fact_vdw_branch(colours, k, r, w)] += 1
+                except FactViolationError:
+                    violations += 1
+            assert fact_vdw_random(n, k, r, w, 8, seed) == (tallies,
+                                                            violations)
+            reference[n, k, r, w, seed] = {"tallies": tallies,
+                                           "violations": violations}
+        reached = {b for res in reference.values()
+                   for b, c in [*res["tallies"].items(),
+                                ("violations", res["violations"])] if c}
+        assert reached == {"first", "second", "both", "violations"}
         code, blob = self.run_json(
-            capsys, "fact-vdw", "-n", "100", "-k", "3", "-r", "2",
-            "-W", "9", "--random", "4", "--seed", "7")
+            capsys, "fact-vdw", "-n", "100", "-k", "4", "-r", "2",
+            "-W", "3", "--random", "8", "--seed", "1")
         assert code == EXIT_OK
-        rng = random.Random(7)
-        assert drawn == [dict(zip(range(1, 101), rng.choices(range(1, 4),
-                                                             k=100)))
-                         for _ in range(4)]
-        assert blob["result"]["tallies"]["both"] == 4
+        assert blob["result"] == reference[100, 4, 2, 3, 1]
+
+    @pytest.mark.parametrize("n, k, r, w, message", [
+        (0, 3, 2, 3, "colouring is empty; the dichotomy needs n >= 1"),
+        (-5, 3, 2, 3, "colouring is empty; the dichotomy needs n >= 1"),
+        (100, 3, 0, 9, "need a colour before the last one, got r=0"),
+        (100, 3, -1, 9, "need a colour before the last one, got r=-1"),
+        (100, 1, 2, 9, "progression length must be >= 3, got 1"),
+        (100, 3, 2, 35, "interval too short for the dichotomy: 98 35-term "
+         "APs in {1..100} but the argument needs at least n^2/(2W) = 143"),
+    ])
+    def test_fact_vdw_random_rejects_with_one_line(self, capsys, n, k, r, w,
+                                                   message):
+        code = dispatch(["fact-vdw", "-n", str(n), "-k", str(k), "-r",
+                         str(r), "-W", str(w), "--random", "2", "--seed",
+                         "1", "--json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("source", [
         ["--random", "1", "--seed", "1"], ["--colouring", "empty.col"]])
